@@ -159,27 +159,36 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
+		case <-j.done:
 		case <-time.After(eventPoll):
 		}
 	}
 }
 
-func (s *Server) jobArtifacts(j *Job) (map[string][]byte, *APIError) {
+// jobArtifacts returns a done job's artifact names and the payloads keep
+// selects: a sweep's output from memory, a run's from its store entry, which
+// the read verifies in full whatever it keeps.
+func (s *Server) jobArtifacts(j *Job, keep func(string) bool) (map[string][]byte, []string, *APIError) {
 	j.mu.Lock()
 	state := j.state
 	sweepArts := j.artifacts
 	j.mu.Unlock()
 	if state != StateDone {
-		return nil, &APIError{Error: fmt.Sprintf("job %s is %s, artifacts exist once it is done", j.ID, state), ExitCode: 2}
+		return nil, nil, &APIError{Error: fmt.Sprintf("job %s is %s, artifacts exist once it is done", j.ID, state), ExitCode: 2}
 	}
 	if j.sweep != nil {
-		return sweepArts, nil
+		names := make([]string, 0, len(sweepArts))
+		for n := range sweepArts {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return sweepArts, names, nil
 	}
-	arts, err := s.store.Peek(j.token)
+	arts, names, err := s.store.read(j.token, false, keep)
 	if err != nil {
-		return nil, &APIError{Error: fmt.Sprintf("store entry %s: %v", j.token, err), ExitCode: 1}
+		return nil, nil, &APIError{Error: fmt.Sprintf("store entry %s: %v", j.token, err), ExitCode: 1}
 	}
-	return arts, nil
+	return arts, names, nil
 }
 
 func (s *Server) handleArtifactIndex(w http.ResponseWriter, r *http.Request) {
@@ -188,16 +197,11 @@ func (s *Server) handleArtifactIndex(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, http.StatusNotFound, &APIError{Error: "no such job " + r.PathValue("id"), ExitCode: 2})
 		return
 	}
-	arts, apiErr := s.jobArtifacts(j)
+	_, names, apiErr := s.jobArtifacts(j, func(string) bool { return false })
 	if apiErr != nil {
 		s.apiError(w, http.StatusNotFound, apiErr)
 		return
 	}
-	names := make([]string, 0, len(arts))
-	for n := range arts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	s.writeJSON(w, http.StatusOK, names)
 }
 
@@ -207,12 +211,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, http.StatusNotFound, &APIError{Error: "no such job " + r.PathValue("id"), ExitCode: 2})
 		return
 	}
-	arts, apiErr := s.jobArtifacts(j)
+	name := r.PathValue("name")
+	arts, _, apiErr := s.jobArtifacts(j, func(n string) bool { return n == name })
 	if apiErr != nil {
 		s.apiError(w, http.StatusNotFound, apiErr)
 		return
 	}
-	name := r.PathValue("name")
 	payload, ok := arts[name]
 	if !ok {
 		s.apiError(w, http.StatusNotFound, &APIError{Error: fmt.Sprintf("job %s has no artifact %q", j.ID, name), ExitCode: 2})

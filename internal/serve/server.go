@@ -604,7 +604,7 @@ func (s *Server) runJob(j *Job) {
 // execution whose artifact bundle is persisted for every future submission.
 func (s *Server) runSim(j *Job) error {
 	for {
-		if arts, err := s.store.Get(j.token); err == nil {
+		if arts, err := s.store.Get(j.token, ArtStats); err == nil {
 			return s.finishSim(j, arts, true, 0)
 		}
 		// Not found, or corrupt (now quarantined): simulate. One flight per
@@ -668,7 +668,7 @@ func (s *Server) runSweep(j *Job) error {
 // chain for one fully mutated config.
 func (s *Server) sweepExec(key, abbr string, m config.Model, cfg config.Config) (*harness.Result, error) {
 	token := harness.KeyHash(key)
-	if arts, err := s.store.Get(token); err == nil {
+	if arts, err := s.store.Get(token, ArtResult); err == nil {
 		if rb, ok := arts[ArtResult]; ok {
 			var r harness.Result
 			if json.Unmarshal(rb, &r) == nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -386,5 +387,89 @@ func TestSweepExecStore(t *testing.T) {
 	j2, _ := json.Marshal(r2)
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("store round-trip changed the result:\n%s\n---\n%s", j1, j2)
+	}
+}
+
+// corruptSection flips one payload byte of the named section of a store
+// entry on disk.
+func corruptSection(t *testing.T, s *Server, token, name string) {
+	t.Helper()
+	path := s.Store().Path(token)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := sectionSpan(t, data, name)
+	data[(start+end)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptEntryResimulates: a resubmitted job whose stored trace.jsonl
+// was corrupted is not a hit, even though it keeps only stats.json: it
+// re-simulates and rewrites the entry.
+func TestCorruptEntryResimulates(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	_, data := postJob(t, ts, tinyKasmJob("tiny"))
+	var v JobView
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	if done := waitJob(t, ts, v.ID); done.State != StateDone {
+		t.Fatalf("first run: %+v", done)
+	}
+	spent := s.SimCycles()
+	corruptSection(t, s, v.Hash, ArtTrace)
+
+	_, data = postJob(t, ts, tinyKasmJob("tiny"))
+	var v2 JobView
+	if err := json.Unmarshal(data, &v2); err != nil {
+		t.Fatal(err)
+	}
+	done := waitJob(t, ts, v2.ID)
+	if done.State != StateDone || done.Hit {
+		t.Fatalf("resubmission over a corrupt entry: state=%s hit=%v, want done/false", done.State, done.Hit)
+	}
+	if s.SimCycles() <= spent {
+		t.Fatal("resubmission over a corrupt entry did not re-simulate")
+	}
+	if _, _, _, q := s.Store().Counters(); q != 1 {
+		t.Fatalf("quarantines=%d, want 1", q)
+	}
+	entry, err := os.ReadFile(s.Store().Path(v.Hash))
+	if err != nil {
+		t.Fatalf("entry not rewritten: %v", err)
+	}
+	if _, err := DecodeEntry(v.Hash, entry); err != nil {
+		t.Fatalf("rewritten entry: %v", err)
+	}
+}
+
+// TestDownloadCorruptEntry: downloading stats.json from an entry with a
+// corrupt section — the served one or another — is a 404 with the runtime
+// exit class, and the entry is quarantined.
+func TestDownloadCorruptEntry(t *testing.T) {
+	for _, section := range []string{ArtStats, ArtTrace} {
+		t.Run(section, func(t *testing.T) {
+			s, ts := newTestServer(t, nil)
+			_, data := postJob(t, ts, tinyKasmJob("tiny"))
+			var v JobView
+			if err := json.Unmarshal(data, &v); err != nil {
+				t.Fatal(err)
+			}
+			if done := waitJob(t, ts, v.ID); done.State != StateDone {
+				t.Fatalf("run: %+v", done)
+			}
+			corruptSection(t, s, v.Hash, section)
+			var e APIError
+			resp := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/artifacts/"+ArtStats, &e)
+			if resp.StatusCode != http.StatusNotFound || e.ExitCode != 1 {
+				t.Fatalf("download: status %d body %+v, want 404 with exit_code 1", resp.StatusCode, e)
+			}
+			if _, _, _, q := s.Store().Counters(); q != 1 {
+				t.Fatalf("quarantines=%d, want 1", q)
+			}
+		})
 	}
 }

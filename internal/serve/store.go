@@ -6,12 +6,15 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,7 +23,7 @@ import (
 )
 
 // StoreSchema identifies the on-disk entry container format.
-const StoreSchema = "wir-store/1"
+const StoreSchema = "wir-store/2"
 
 // ErrNotFound reports a token with no (valid) store entry.
 var ErrNotFound = errors.New("serve: store entry not found")
@@ -51,7 +54,6 @@ type Store struct {
 	evict   uint64
 	quarant uint64
 	tmpSeq  int64
-	readers sync.WaitGroup // in-flight Gets, so Close can drain (tests)
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir with the given
@@ -130,45 +132,64 @@ func (s *Store) Counters() (hits, misses, evictions, quarantines uint64) {
 	return s.hits, s.misses, s.evict, s.quarant
 }
 
-// Get reads and validates the entry for token. On success the artifacts are
-// returned and the entry's recency is refreshed. A missing entry returns
-// ErrNotFound. A corrupt or truncated entry is quarantined (renamed aside,
-// dropped from the index) and returns an error wrapping ErrCorrupt — callers
-// treat both as a miss and re-simulate.
-func (s *Store) Get(token string) (map[string][]byte, error) {
-	return s.get(token, true)
+// Get reads the entry for token and returns the named artifacts, or every
+// artifact when none is named. The read verifies every section whatever it
+// keeps, and a hit refreshes the entry's recency. A missing entry, or one in
+// the old wir-store/1 format, returns ErrNotFound. A corrupt or truncated
+// entry is quarantined (renamed aside, dropped from the index) and returns an
+// error wrapping ErrCorrupt — callers treat both as a miss and re-simulate.
+func (s *Store) Get(token string, names ...string) (map[string][]byte, error) {
+	arts, _, err := s.read(token, true, keepNamed(names))
+	return arts, err
 }
 
 // Peek is Get without the hit/miss accounting: artifact downloads of an
 // already-answered job should not inflate the cache-effectiveness ratio the
-// /metrics gauges report. Corruption handling and recency refresh are
-// identical to Get.
-func (s *Store) Peek(token string) (map[string][]byte, error) {
-	return s.get(token, false)
+// /metrics gauges report. Verification, corruption handling and recency
+// refresh are identical to Get.
+func (s *Store) Peek(token string, names ...string) (map[string][]byte, error) {
+	arts, _, err := s.read(token, false, keepNamed(names))
+	return arts, err
 }
 
-func (s *Store) get(token string, count bool) (map[string][]byte, error) {
-	if !ValidToken(token) {
-		return nil, fmt.Errorf("%w: bad token %q", ErrNotFound, token)
+// keepNamed selects the named artifacts, or every artifact when none is named.
+func keepNamed(names []string) func(string) bool {
+	if len(names) == 0 {
+		return func(string) bool { return true }
 	}
-	s.mu.Lock()
-	s.readers.Add(1)
-	s.mu.Unlock()
-	defer s.readers.Done()
+	return func(name string) bool { return slices.Contains(names, name) }
+}
 
-	data, err := os.ReadFile(s.Path(token))
+// read streams the entry for token through the codec, keeping the payloads
+// keep selects, and returns them with every artifact name in entry order.
+// count selects hit/miss accounting.
+func (s *Store) read(token string, count bool, keep func(string) bool) (map[string][]byte, []string, error) {
+	if !ValidToken(token) {
+		return nil, nil, fmt.Errorf("%w: bad token %q", ErrNotFound, token)
+	}
+	f, err := os.Open(s.Path(token))
 	if errors.Is(err, os.ErrNotExist) {
 		s.miss(count, false)
-		return nil, ErrNotFound
+		return nil, nil, ErrNotFound
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	arts, derr := DecodeEntry(token, data)
-	if derr != nil {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	arts, names, err := decodeEntry(f, fi.Size(), token, keep)
+	switch {
+	case errors.Is(err, ErrCorrupt):
 		s.quarantine(token)
 		s.miss(count, true)
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, derr)
+	case errors.Is(err, ErrNotFound): // an old-format entry: the next Put replaces it
+		s.miss(count, false)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	now := time.Now()
 	s.mu.Lock()
@@ -180,7 +201,7 @@ func (s *Store) get(token string, count bool) (map[string][]byte, error) {
 	s.mu.Unlock()
 	// Best-effort mtime touch so the LRU order survives a restart.
 	_ = os.Chtimes(s.Path(token), now, now)
-	return arts, nil
+	return arts, names, nil
 }
 
 func (s *Store) miss(count, corrupt bool) {
@@ -210,25 +231,26 @@ func (s *Store) quarantine(token string) {
 	_ = os.Rename(s.Path(token), s.Path(token)+fmt.Sprintf(".corrupt-%d", seq))
 }
 
-// Put atomically writes the entry for token: encode, write to a temp file in
-// the same directory, fsync-free rename over the final name. A reader racing
-// the rename sees either the old complete entry or the new complete entry,
-// never a prefix. After indexing, least-recently-used entries are evicted
-// until the total is back under the cap (the entry just written survives even
-// if it alone exceeds the cap).
+// Put atomically writes the entry for token: encode straight into a temp
+// file in the same directory, then rename it over the final name. A reader
+// racing the rename sees either the old complete entry or the new complete
+// entry, never a prefix. There is no fsync: a file torn by a crash fails
+// framing or checksum on its next read. After indexing, least-recently-used
+// entries are evicted until the total is back under the cap (the entry just
+// written survives even if it alone exceeds the cap).
 func (s *Store) Put(token string, artifacts map[string][]byte) error {
 	if !ValidToken(token) {
 		return fmt.Errorf("serve: Put with bad token %q", token)
 	}
-	data := EncodeEntry(token, artifacts)
 	s.mu.Lock()
 	s.tmpSeq++
 	tmp := filepath.Join(s.dir, fmt.Sprintf(".tmp-%d-%d", os.Getpid(), s.tmpSeq))
 	s.mu.Unlock()
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	size, err := writeEntry(tmp, token, artifacts)
+	if err == nil {
+		err = os.Rename(tmp, s.Path(token))
 	}
-	if err := os.Rename(tmp, s.Path(token)); err != nil {
+	if err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
@@ -236,8 +258,8 @@ func (s *Store) Put(token string, artifacts map[string][]byte) error {
 	if old, ok := s.sizes[token]; ok {
 		s.total -= old
 	}
-	s.sizes[token] = int64(len(data))
-	s.total += int64(len(data))
+	s.sizes[token] = size
+	s.total += size
 	s.tick++
 	s.recency[token] = s.tick
 	victims := s.planEvictionsLocked(token)
@@ -246,6 +268,19 @@ func (s *Store) Put(token string, artifacts map[string][]byte) error {
 		_ = os.Remove(s.Path(v))
 	}
 	return nil
+}
+
+// writeEntry encodes the entry into a new file at path and returns its size.
+func writeEntry(path, token string, artifacts map[string][]byte) (int64, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	size, err := encodeEntry(bufio.NewWriter(f), token, artifacts)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return size, err
 }
 
 // planEvictionsLocked removes over-cap LRU victims from the index (never
@@ -278,85 +313,185 @@ func (s *Store) planEvictionsLocked(keep string) []string {
 //
 // Entries are a single self-checking file:
 //
-//	wir-store/1 <token> <n>\n
-//	<name> <length> <fnv64a-16hex>\n<bytes>\n     (n sections, names sorted)
+//	wir-store/2 <token> <n>\n
+//	<name> <length> <crc64-16hex>\n<bytes>\n     (n sections, names sorted)
 //
-// Every section carries its own checksum, so a flipped byte anywhere is
-// detected; lengths frame the payloads, so truncation anywhere is detected.
+// Every section carries its own CRC-64-ECMA checksum, so a flipped byte
+// anywhere is detected; lengths frame the payloads, so truncation anywhere is
+// detected.
 
-// EncodeEntry renders the artifact set in the wir-store/1 container format.
-// Artifact names are sorted, so encoding is deterministic.
-func EncodeEntry(token string, artifacts map[string][]byte) []byte {
+// entryBuf is the size of the one buffer a read streams an entry through,
+// and so also the longest header line an entry may hold.
+const entryBuf = 256 << 10
+
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// encodeEntry writes the artifact set as one entry, names sorted so encoding
+// is deterministic, and returns the entry's size.
+func encodeEntry(w *bufio.Writer, token string, artifacts map[string][]byte) (int64, error) {
 	names := make([]string, 0, len(artifacts))
 	for n := range artifacts {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %s %d\n", StoreSchema, token, len(names))
+	// A bufio.Writer keeps its first error and returns it from every later
+	// call, so only Flush needs checking.
+	k, _ := fmt.Fprintf(w, "%s %s %d\n", StoreSchema, token, len(names))
+	size := int64(k)
 	for _, n := range names {
 		payload := artifacts[n]
-		fh := fnv.New64a()
-		fh.Write(payload)
-		fmt.Fprintf(&buf, "%s %d %016x\n", n, len(payload), fh.Sum64())
-		buf.Write(payload)
-		buf.WriteByte('\n')
+		k, _ = fmt.Fprintf(w, "%s %d %016x\n", n, len(payload), crc64.Checksum(payload, crcTable))
+		_, _ = w.Write(payload)
+		_ = w.WriteByte('\n')
+		size += int64(k + len(payload) + 1)
 	}
-	return buf.Bytes()
+	return size, w.Flush()
 }
 
-// DecodeEntry parses and validates a wir-store/1 container, checking the
-// schema line, the token, section framing, and every artifact checksum.
-func DecodeEntry(token string, data []byte) (map[string][]byte, error) {
-	head, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return nil, errors.New("missing header")
+// decodeEntry streams a size-byte entry from r through one buffer of at most
+// entryBuf bytes. It checks the schema line and token, every section header,
+// length and terminator, every section checksum, and that only ASCII
+// whitespace follows the last section. It returns the payloads keep selects
+// and every artifact name in entry order. Format errors wrap ErrCorrupt, an
+// entry in the old wir-store/1 format is an error wrapping ErrNotFound, and
+// other read errors pass through.
+func decodeEntry(r io.Reader, size int64, token string, keep func(string) bool) (map[string][]byte, []string, error) {
+	src := &io.LimitedReader{R: r, N: size}
+	br := bufio.NewReaderSize(src, int(min(size, entryBuf)))
+	corrupt := func(format string, args ...any) (map[string][]byte, []string, error) {
+		return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+	}
+	// Running out of entry bytes, or of buffer for a header line, is
+	// corruption; any other read error is an I/O failure.
+	fail := func(what string, err error) (map[string][]byte, []string, error) {
+		switch {
+		case errors.Is(err, io.EOF):
+			return corrupt("truncated in %s", what)
+		case errors.Is(err, bufio.ErrBufferFull):
+			return corrupt("%s is longer than %d bytes", what, br.Size())
+		}
+		return nil, nil, fmt.Errorf("%s: %w", what, err)
+	}
+	// Header lines keep their '\n'; strings.Fields drops it.
+	head, err := br.ReadSlice('\n')
+	if err != nil {
+		return fail("header", err)
 	}
 	hf := strings.Fields(string(head))
+	if len(hf) > 0 && hf[0] == "wir-store/1" {
+		return nil, nil, fmt.Errorf("%w: entry in the old wir-store/1 format", ErrNotFound)
+	}
 	if len(hf) != 3 || hf[0] != StoreSchema {
-		return nil, fmt.Errorf("bad header %q", string(head))
+		return corrupt("bad header %q", head)
 	}
 	if hf[1] != token {
-		return nil, fmt.Errorf("entry is for token %s, file named %s", hf[1], token)
+		return corrupt("entry is for token %s, file named %s", hf[1], token)
 	}
 	n, err := strconv.Atoi(hf[2])
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("bad artifact count %q", hf[2])
+		return corrupt("bad artifact count %q", hf[2])
 	}
-	arts := make(map[string][]byte, n)
+	arts := map[string][]byte{}
+	var names []string
 	for i := 0; i < n; i++ {
-		head, body, ok := bytes.Cut(rest, []byte{'\n'})
-		if !ok {
-			return nil, fmt.Errorf("truncated at section %d header", i)
+		what := fmt.Sprintf("section %d", i)
+		head, err := br.ReadSlice('\n')
+		if err != nil {
+			return fail(what+" header", err)
 		}
 		sf := strings.Fields(string(head))
 		if len(sf) != 3 {
-			return nil, fmt.Errorf("bad section %d header %q", i, string(head))
+			return corrupt("bad %s header %q", what, head)
 		}
 		name := sf[0]
-		size, err := strconv.Atoi(sf[1])
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("bad section %d length %q", i, sf[1])
+		what += " (" + name + ")"
+		plen, err := strconv.ParseInt(sf[1], 10, 64)
+		if err != nil || plen < 0 {
+			return corrupt("bad %s length %q", what, sf[1])
 		}
-		if len(body) < size+1 {
-			return nil, fmt.Errorf("truncated in section %d payload (%d of %d bytes)", i, len(body), size)
+		// Checked before anything is allocated: the payload and its
+		// terminator must fit in what is left of the entry.
+		if left := src.N + int64(br.Buffered()); plen >= left {
+			return corrupt("%s claims %d bytes, %d remain", what, plen, left)
 		}
-		payload := body[:size]
-		if body[size] != '\n' {
-			return nil, fmt.Errorf("section %d payload not terminated", i)
+		kept := keep(name)
+		payload, sum, err := readPayload(br, plen, kept)
+		if err != nil {
+			return fail(what+" payload", err)
 		}
-		fh := fnv.New64a()
-		fh.Write(payload)
-		if got := fmt.Sprintf("%016x", fh.Sum64()); got != sf[2] {
-			return nil, fmt.Errorf("section %d (%s) checksum mismatch: %s != %s", i, name, got, sf[2])
+		if c, err := br.ReadByte(); err != nil {
+			return fail(what+" terminator", err)
+		} else if c != '\n' {
+			return corrupt("%s payload not terminated", what)
 		}
-		cp := make([]byte, size)
-		copy(cp, payload)
-		arts[name] = cp
-		rest = body[size+1:]
+		if got := fmt.Sprintf("%016x", sum); got != sf[2] {
+			return corrupt("%s checksum mismatch: %s != %s", what, got, sf[2])
+		}
+		if kept {
+			arts[name] = payload
+		}
+		names = append(names, name)
 	}
-	if len(bytes.TrimSpace(rest)) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after last section", len(rest))
+	for {
+		c, err := br.ReadByte()
+		if err == io.EOF {
+			return arts, names, nil
+		}
+		if err != nil {
+			return fail("trailer", err)
+		}
+		if !strings.ContainsRune(" \t\n\v\f\r", rune(c)) {
+			return corrupt("non-whitespace byte after the last section")
+		}
 	}
-	return arts, nil
+}
+
+// readPayload consumes n payload bytes from br a buffer at a time and
+// returns their CRC-64, plus a copy of them when keep is set.
+func readPayload(br *bufio.Reader, n int64, keep bool) ([]byte, uint64, error) {
+	var out []byte
+	if keep {
+		out = make([]byte, 0, n)
+	}
+	var sum uint64
+	for n > 0 {
+		// Take what is buffered before reading more, so the buffer never
+		// slides its contents.
+		k := br.Buffered()
+		if k == 0 {
+			k = br.Size()
+		}
+		chunk, err := br.Peek(int(min(n, int64(k))))
+		if err != nil {
+			return nil, 0, err
+		}
+		sum = crc64.Update(sum, crcTable, chunk)
+		if keep {
+			out = append(out, chunk...)
+		}
+		_, _ = br.Discard(len(chunk)) // cannot fail: chunk is buffered
+		n -= int64(len(chunk))
+	}
+	return out, sum, nil
+}
+
+// EncodeEntry renders the artifact set as one wir-store/2 entry in memory.
+func EncodeEntry(token string, artifacts map[string][]byte) []byte {
+	var out sliceWriter
+	_, _ = encodeEntry(bufio.NewWriter(&out), token, artifacts) // sliceWriter never fails
+	return out
+}
+
+// DecodeEntry decodes and verifies a whole wir-store/2 entry held in memory.
+func DecodeEntry(token string, data []byte) (map[string][]byte, error) {
+	arts, _, err := decodeEntry(bytes.NewReader(data), int64(len(data)), token, keepNamed(nil))
+	return arts, err
+}
+
+// sliceWriter appends everything written to it.
+type sliceWriter []byte
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	wirbench [-sms N] [-j N] [-parallel] [-dense] [-v] [-exp LIST] [-json FILE]
+//	wirbench [-sms N] [-j N] [-dense] [-v] [-exp LIST] [-json FILE]
 //	         [-csv FILE] [-speed FILE] [-speed-history FILE]
 //	         [-hostprof FILE] [-hostprof-json FILE] [-reuseprof-json FILE]
 //
@@ -45,7 +45,6 @@ func steps() []step { return harness.Experiments() }
 func main() {
 	sms := flag.Int("sms", 15, "number of simulated SMs (paper: 15)")
 	workers := flag.Int("j", runtime.NumCPU(), "parallel simulations in the sweep worker pool")
-	parallelSM := flag.Bool("parallel", false, "also step each simulation's SMs in parallel goroutines (bit-identical)")
 	dense := flag.Bool("dense", false, "disable event-driven stepping: sweep every quiet cycle densely (bit-identical; for A/B and debugging)")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	exp := flag.String("exp", "all", "comma-separated experiments to run")
@@ -73,7 +72,6 @@ func main() {
 	newHarness := func(w int) *harness.Harness {
 		h := harness.New()
 		h.SMs = *sms
-		h.ParallelSM = *parallelSM
 		h.Dense = *dense
 		h.SetParallelism(w)
 		if *verbose {

@@ -25,6 +25,15 @@ import (
 	"github.com/wirsim/wir/internal/serve"
 )
 
+// Listener timeouts. A client that never finishes its request headers, or
+// parks an idle keep-alive connection, is cut off instead of holding the
+// connection forever. There is deliberately no write timeout: /events
+// streams for as long as a job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -79,7 +88,13 @@ func run() int {
 	if logf != nil {
 		logf("wirserve: %s listening on %s (store %s, %d workers)", serve.Schema, *addr, *storeDir, *workers)
 	}
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if err := hs.ListenAndServe(); err != nil {
 		fmt.Fprintf(os.Stderr, "wirserve: %v\n", err)
 		return 1
 	}

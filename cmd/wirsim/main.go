@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	wirsim [-sms N] [-model RLPV] [-parallel] [-dense] [-list] [-interval N] [-metrics FILE]
-//	       [-stats text|json] [-trace-json FILE] [-serve :addr] [-profile-contention]
+//	wirsim [-sms N] [-model RLPV] [-dense] [-list] [-interval N] [-metrics FILE]
+//	       [-stats text|json] [-trace-json FILE] [-serve :addr]
 //	       [-pprof FILE] [-hostprof FILE] [-hostprof-json FILE]
 //	       [-reuseprof] [-reuseprof-json FILE]
 //	       [-perfetto FILE] [-hotspots N]
@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"github.com/wirsim/wir/internal/attr"
@@ -66,13 +65,11 @@ func main() {
 	hostprofJSON := flag.String("hostprof-json", "", "write the wir-hostprof/1 report (phase timings, allocation, quiescence/skip-opportunity) to this file")
 	reuseprofFlag := flag.Bool("reuseprof", false, "attach the decision-level reuse profiler and print a miss-taxonomy/headroom summary")
 	reuseprofJSON := flag.String("reuseprof-json", "", "write the wir-reuse/1 report (miss taxonomy, eviction ledger, shadow headroom) to this file")
-	profContention := flag.Bool("profile-contention", false, "with -serve: enable runtime block and mutex profiling so /debug/pprof/{block,mutex} capture -parallel gate contention")
 	perfettoOut := flag.String("perfetto", "", "write the pipeline trace as Perfetto/Chrome trace-event JSON to this file")
 	hotspots := flag.Int("hotspots", 0, "print the top-N per-PC hotspots after the run")
 	useOracle := flag.Bool("oracle", false, "run the golden-model oracle in lockstep and fail on any divergence")
 	watchdog := flag.Int64("watchdog", -1, "fail if no instruction retires for N cycles (-1 derives N from DRAM latency and MSHR depth, 0 = absolute backstop only)")
 	audit := flag.Bool("audit", false, "run the structural invariant auditors at every kernel boundary, not just end of run")
-	parallel := flag.Bool("parallel", false, "step SMs in parallel goroutines (bit-identical to serial; falls back to serial when -chaos, per-PC attribution, or -stats json is active)")
 	dense := flag.Bool("dense", false, "disable event-driven stepping: sweep every quiet cycle densely (bit-identical; for A/B and debugging)")
 	chaosSpec := flag.String("chaos", "", "inject deterministic faults: seed,rate,kinds (e.g. 1,0.001,all — see docs/ROBUSTNESS.md)")
 	flag.Parse()
@@ -114,7 +111,6 @@ func main() {
 	if *audit {
 		g.SetLaunchAudit(true)
 	}
-	g.SetParallel(*parallel)
 	g.SetEventDriven(!*dense)
 
 	// Telemetry: one registry feeds the live endpoint, the interval sampler
@@ -139,16 +135,6 @@ func main() {
 		sampler.Registry = reg
 		g.SetSampler(sampler)
 	}
-	if *profContention {
-		// Rate 1 records every blocking event; the simulator's contention
-		// points (the parallel gate chain, hook buffering) are few enough
-		// that full sampling stays affordable and the profiles stay exact.
-		runtime.SetBlockProfileRate(1)
-		runtime.SetMutexProfileFraction(1)
-		if *serveAddr == "" {
-			fmt.Fprintln(os.Stderr, "wirsim: -profile-contention without -serve: profiles are collected but unreachable; add -serve to scrape /debug/pprof/{block,mutex}")
-		}
-	}
 	if *serveAddr != "" {
 		metrics.Serve(*serveAddr, reg)
 		fmt.Fprintf(os.Stderr, "wirsim: serving /metrics and /debug/pprof on %s\n", *serveAddr)
@@ -165,8 +151,8 @@ func main() {
 
 	// The reuse profiler classifies every reuse-buffer/VSB decision and runs
 	// the infinite-capacity shadow tables. Like hostprof it is observational
-	// only (bit-identical outputs, parallel-legal) and opt-in; -stats json
-	// attaches it so the report's derived rates include achieved/achievable.
+	// only (bit-identical outputs) and opt-in; -stats json attaches it so the
+	// report's derived rates include achieved/achievable.
 	var reuseCollector *reuseprof.Collector
 	if *reuseprofFlag || *reuseprofJSON != "" || *statsMode == "json" {
 		reuseCollector = g.NewReuseProf()

@@ -1,74 +1,26 @@
 // Determinism conformance suite: event-driven stepping — quiet-SM tick
 // skipping plus whole-GPU fast-forward — must be bit-identical to dense
-// stepping, under both serial and goroutine-per-SM execution. The comparisons
-// reuse the parallel suite's contract: wir-stats/1 counters by struct
-// equality, wir-trace/1 streams byte-for-byte, energy component-exact, and
-// output images word-for-word.
+// stepping under the contract in conformance_test.go.
 //
 // The full suite covers every benchmark of the paper's evaluation;
-// testing.Short() trims to the same three-benchmark subset the parallel
-// suite uses so the CI race pass stays fast.
+// testing.Short() trims it to three benchmarks so the CI race pass stays
+// fast.
 package wir_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
-	wir "github.com/wirsim/wir"
 	"github.com/wirsim/wir/internal/bench"
-	"github.com/wirsim/wir/internal/trace"
 )
 
-// edConfRun executes one suite benchmark with the chosen stepping strategy
-// (dense or event-driven × serial or parallel) and captures every observable
-// artifact the determinism contract covers.
-func edConfRun(t *testing.T, abbr string, m wir.Model, parallel, dense bool) confResult {
-	t.Helper()
-	cfg := wir.DefaultConfig(m)
-	cfg.NumSMs = 4 // matches the parallel suite: the gate chain and skip mask both engage
-	g, err := wir.NewGPU(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetParallel(parallel)
-	g.SetEventDriven(!dense)
-	var buf bytes.Buffer
-	jw := trace.NewJSONWriter(&buf)
-	jw.FilterKinds(trace.KindRetire, trace.KindBypass, trace.KindBarrier)
-	g.SetTracer(jw)
-	bm, err := bench.ByAbbr(abbr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := bm.Setup(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles, err := w.Run(g)
-	if err != nil {
-		t.Fatalf("%s/%v parallel=%v dense=%v: %v", abbr, m, parallel, dense, err)
-	}
-	if err := jw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	return confResult{
-		cycles: cycles,
-		stats:  st,
-		energy: wir.Energy(cfg, &st),
-		trace:  buf.Bytes(),
-		output: g.Mem().Snapshot(w.OutBase, w.OutWords),
-	}
-}
-
 // TestEventDrivenConformanceSuite holds event-driven stepping bit-identical
-// to dense stepping on the benchmark suite, in both serial and parallel
-// execution. Dense serial is the reference; the other three strategies must
-// reproduce its artifacts exactly.
+// to dense stepping on the benchmark suite. Dense is the reference.
 func TestEventDrivenConformanceSuite(t *testing.T) {
 	benches := bench.All()
 	if testing.Short() {
+		// A scratchpad+barrier benchmark, a texture/const benchmark, and a
+		// divergence-heavy one.
 		var trimmed []*bench.Benchmark
 		for _, b := range benches {
 			switch b.Abbr {
@@ -83,19 +35,9 @@ func TestEventDrivenConformanceSuite(t *testing.T) {
 			b, m := b, m
 			t.Run(fmt.Sprintf("%s/%v", b.Abbr, m), func(t *testing.T) {
 				t.Parallel()
-				ref := edConfRun(t, b.Abbr, m, false, true) // dense serial: the reference
-				for _, s := range []struct {
-					name     string
-					parallel bool
-					dense    bool
-				}{
-					{"event-serial", false, false},
-					{"dense-parallel", true, true},
-					{"event-parallel", true, false},
-				} {
-					got := edConfRun(t, b.Abbr, m, s.parallel, s.dense)
-					compareConf(t, fmt.Sprintf("%s/%s", b.Abbr, s.name), ref, got)
-				}
+				dense := confRun(t, b.Abbr, m, true, nil)
+				event := confRun(t, b.Abbr, m, false, nil)
+				compareConf(t, b.Abbr+"/event", dense, event)
 			})
 		}
 	}

@@ -1,71 +1,34 @@
 // Host-profiler conformance: attaching a hostprof collector is pure
 // observation. Every simulation artifact — cycles, wir-stats/1 counters,
 // energy totals, the emitted wir-trace/1 stream, output memory — must be
-// bit-identical with the profiler on or off, in serial and in
-// goroutine-per-SM parallel stepping. On top of the identity contract, the
-// profiler's own numbers must reconcile: driver phase self-times partition
-// the run's wall time, SM phase times fit inside the step phase on a serial
-// run, and all accumulators are monotone across runs.
+// bit-identical with the profiler on or off. On top of the identity
+// contract, the profiler's own numbers must reconcile: driver phase
+// self-times partition the run's wall time, SM phase times fit inside the
+// step phase, and all accumulators are monotone across runs.
 package wir_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	wir "github.com/wirsim/wir"
-	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/hostprof"
-	"github.com/wirsim/wir/internal/trace"
 )
 
-// profConfRun mirrors confRun with an optional hostprof collector attached;
-// it returns the artifacts plus the collector for reconciliation checks.
-func profConfRun(t *testing.T, abbr string, m wir.Model, parallel, profiled bool) (confResult, *hostprof.Collector) {
+// profRun runs one suite benchmark with a fresh hostprof collector attached
+// and returns the artifacts plus the collector for reconciliation checks.
+func profRun(t *testing.T, abbr string, m wir.Model) (confResult, *hostprof.Collector) {
 	t.Helper()
-	cfg := wir.DefaultConfig(m)
-	cfg.NumSMs = 4
-	g, err := wir.NewGPU(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetParallel(parallel)
 	var hp *hostprof.Collector
-	if profiled {
+	res := confRun(t, abbr, m, false, func(g *wir.GPU) {
 		hp = g.NewHostProf()
 		g.SetHostProf(hp)
-	}
-	var buf bytes.Buffer
-	jw := trace.NewJSONWriter(&buf)
-	jw.FilterKinds(trace.KindRetire, trace.KindBypass, trace.KindBarrier)
-	g.SetTracer(jw)
-	bm, err := bench.ByAbbr(abbr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := bm.Setup(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles, err := w.Run(g)
-	if err != nil {
-		t.Fatalf("%s/%v parallel=%v profiled=%v: %v", abbr, m, parallel, profiled, err)
-	}
-	if err := jw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	return confResult{
-		cycles: cycles,
-		stats:  st,
-		energy: wir.Energy(cfg, &st),
-		trace:  buf.Bytes(),
-		output: g.Mem().Snapshot(w.OutBase, w.OutWords),
-	}, hp
+	})
+	return res, hp
 }
 
 // TestHostProfConformance holds the identity contract on benchmark runs:
-// profiled output equals unprofiled output exactly, serial and parallel.
+// profiled output equals unprofiled output exactly.
 func TestHostProfConformance(t *testing.T) {
 	benches := []string{"KM", "HS", "BP"}
 	if testing.Short() {
@@ -73,38 +36,36 @@ func TestHostProfConformance(t *testing.T) {
 	}
 	for _, abbr := range benches {
 		for _, m := range conformanceModels {
-			for _, parallel := range []bool{false, true} {
-				abbr, m, parallel := abbr, m, parallel
-				t.Run(fmt.Sprintf("%s/%v/parallel=%v", abbr, m, parallel), func(t *testing.T) {
-					t.Parallel()
-					plain, _ := profConfRun(t, abbr, m, parallel, false)
-					profiled, hp := profConfRun(t, abbr, m, parallel, true)
-					compareConf(t, abbr, plain, profiled)
-					// The run the profiler watched must also be the run it
-					// recorded: every gpu.Run observed (HS launches several),
-					// every SM ticked every cycle.
-					if hp.Runs() < 1 {
-						t.Errorf("collector saw %d runs, want >= 1", hp.Runs())
-					}
-					var ticks uint64
-					for i := 0; i < hp.NumSMs(); i++ {
-						ticks += hp.SM(i).Ticks
-					}
-					if want := profiled.cycles * uint64(hp.NumSMs()); ticks != want {
-						t.Errorf("observed %d SM ticks, want cycles*SMs = %d", ticks, want)
-					}
-				})
-			}
+			abbr, m := abbr, m
+			t.Run(fmt.Sprintf("%s/%v", abbr, m), func(t *testing.T) {
+				t.Parallel()
+				plain := confRun(t, abbr, m, false, nil)
+				profiled, hp := profRun(t, abbr, m)
+				compareConf(t, abbr, plain, profiled)
+				// The run the profiler watched must also be the run it
+				// recorded: every gpu.Run observed (HS launches several),
+				// every SM ticked every cycle.
+				if hp.Runs() < 1 {
+					t.Errorf("collector saw %d runs, want >= 1", hp.Runs())
+				}
+				var ticks uint64
+				for i := 0; i < hp.NumSMs(); i++ {
+					ticks += hp.SM(i).Ticks
+				}
+				if want := profiled.cycles * uint64(hp.NumSMs()); ticks != want {
+					t.Errorf("observed %d SM ticks, want cycles*SMs = %d", ticks, want)
+				}
+			})
 		}
 	}
 }
 
-// TestHostProfReconciliation checks the accounting against an outside clock
-// on a serial run: driver phase self-times sum to the run wall time (within
-// clock-read overhead), and the per-SM phase times fit inside the step phase
-// they break down.
+// TestHostProfReconciliation checks the accounting against an outside clock:
+// driver phase self-times sum to the run wall time (within clock-read
+// overhead), and the per-SM phase times fit inside the step phase they
+// break down.
 func TestHostProfReconciliation(t *testing.T) {
-	_, hp := profConfRun(t, "KM", wir.RLPV, false, true)
+	_, hp := profRun(t, "KM", wir.RLPV)
 
 	var driver int64
 	for ph := hostprof.PhaseDispatch; ph <= hostprof.PhaseTelemetry; ph++ {
@@ -134,10 +95,10 @@ func TestHostProfReconciliation(t *testing.T) {
 			smTotal += sp.WallNS(ph)
 		}
 	}
-	// Serial run: SM tick time is measured inside the driver's step laps, so
-	// the breakdown cannot exceed what it breaks down.
+	// SM tick time is measured inside the driver's step laps, so the
+	// breakdown cannot exceed what it breaks down.
 	if step := hp.DriverWallNS(hostprof.PhaseStep); smTotal > step {
-		t.Errorf("SM phase sum %dns exceeds step phase %dns on a serial run", smTotal, step)
+		t.Errorf("SM phase sum %dns exceeds step phase %dns", smTotal, step)
 	}
 
 	rep := hp.Report()

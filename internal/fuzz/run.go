@@ -25,11 +25,8 @@ type RunConfig struct {
 	Watchdog uint64
 	Chaos    *chaos.Injector
 	Oracle   bool
-	// Parallel enables goroutine-per-SM stepping (bit-identical to serial;
-	// declined automatically when Chaos is set — see gpu.SetParallel).
-	Parallel bool
 	// Trace, when non-nil, receives the run's pipeline events (determinism
-	// conformance captures both modes' streams through this).
+	// conformance compares the streams of repeated runs through this).
 	Trace trace.Sink
 }
 
@@ -85,7 +82,6 @@ func Execute(o Options, rc RunConfig) (*Result, error) {
 	if rc.Trace != nil {
 		g.SetTracer(rc.Trace)
 	}
-	g.SetParallel(rc.Parallel)
 	rp := g.NewReuseProf()
 	g.SetReuseProf(rp)
 

@@ -73,8 +73,6 @@ type GPU struct {
 	chaos       *chaos.Injector
 	launchAudit bool
 
-	parallel    bool // goroutine-per-SM stepping requested (see SetParallel)
-	profiled    bool // a profile hook is attached (forces serial stepping)
 	eventDriven bool // quiet-SM skipping + whole-GPU fast-forward (see SetEventDriven)
 }
 
@@ -102,10 +100,7 @@ func (g *GPU) Config() *config.Config { return &g.cfg }
 func (g *GPU) Mem() *mem.System { return g.ms }
 
 // SetProfileHook installs a per-instruction observation hook on every SM.
-// While a hook is attached, Run steps serially even when SetParallel is on:
-// the hook observes issue-time state from every SM through one callback.
 func (g *GPU) SetProfileHook(h sm.ProfileHook) {
-	g.profiled = h != nil
 	for _, s := range g.sms {
 		s.Hook = h
 	}
@@ -171,6 +166,13 @@ func (g *GPU) canEventDriven() bool {
 	return g.eventDriven && g.ins == nil && g.attr == nil
 }
 
+// SetParallel does nothing: Run always ticks the SMs serially in index
+// order. Independent simulations run in parallel on the harness worker pool
+// instead (harness.SetParallelism, wirbench -j).
+//
+// Deprecated: goroutine-per-SM stepping was removed; drop the call.
+func (g *GPU) SetParallel(bool) {}
+
 // SetLaunchAudit enables (or disables) running the structural invariant
 // auditors at every kernel-launch boundary, not just when the caller asks at
 // end of run. A violation surfaces as an *AuditError from Run, so long
@@ -212,9 +214,8 @@ func (g *GPU) NewHostProf() *hostprof.Collector {
 // profiler: the Run loop records driver-phase wall time and allocation
 // deltas, and every SM switches to the phase-timed Tick variant. The
 // profiler only reads clocks and counters — simulation outputs are
-// bit-identical with or without it, including under parallel stepping
-// (per-SM accumulators are owned by their SM's goroutine). The collector
-// must have at least NumSMs per-SM slots; use NewHostProf.
+// bit-identical with or without it. The collector must have at least NumSMs
+// per-SM slots; use NewHostProf.
 func (g *GPU) SetHostProf(c *hostprof.Collector) {
 	g.hp = c
 	for i, s := range g.sms {
@@ -239,9 +240,8 @@ func (g *GPU) NewReuseProf() *reuseprof.Collector {
 // profiler: every reuse-buffer lookup outcome is classified into the miss
 // taxonomy, evictions feed the lifetime ledger, and infinite-capacity shadow
 // tables track achievable reuse. The profiler only observes engine decisions —
-// simulation outputs are bit-identical with or without it, including under
-// parallel stepping (each SMProf is written only by its SM's goroutine). The
-// collector must have at least NumSMs per-SM slots; use NewReuseProf.
+// simulation outputs are bit-identical with or without it. The collector must
+// have at least NumSMs per-SM slots; use NewReuseProf.
 func (g *GPU) SetReuseProf(c *reuseprof.Collector) {
 	g.rp = c
 	for i, s := range g.sms {
@@ -384,10 +384,6 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 	lastRetired := g.totalRetired()
 	lastProgress := g.cycles
 	ed := g.canEventDriven()
-	runner := g.startParallel() // nil: step serially
-	if runner != nil {
-		defer runner.stop()
-	}
 	// Host-profile driver laps: the setup above plus each dispatch sweep is
 	// charged to dispatch, the tick sweep to step, and everything else in the
 	// loop body (sampler, watchdog bookkeeping, end-of-launch work) to
@@ -419,19 +415,17 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 		if g.hp != nil {
 			g.hp.DriverLap(hostprof.PhaseDispatch)
 		}
+		// Tick the SMs in index order: within a cycle SM i's whole tick,
+		// shared memory-system accesses included, precedes SM i+1's.
 		idle := true
-		if runner != nil {
-			idle = runner.cycle(ed)
-		} else {
-			for _, s := range g.sms {
-				if ed && s.WakeAt() > s.Now()+1 {
-					s.SkipTicks(1)
-				} else {
-					s.Tick()
-				}
-				if !s.Idle() {
-					idle = false
-				}
+		for _, s := range g.sms {
+			if ed && s.WakeAt() > s.Now()+1 {
+				s.SkipTicks(1)
+			} else {
+				s.Tick()
+			}
+			if !s.Idle() {
+				idle = false
 			}
 		}
 		if g.hp != nil {

@@ -41,9 +41,6 @@ type Harness struct {
 	SMs int
 	// Progress, when non-nil, receives a line per fresh simulation.
 	Progress func(string)
-	// ParallelSM enables goroutine-per-SM stepping inside each simulation
-	// (bit-identical to serial; see gpu.SetParallel).
-	ParallelSM bool
 	// Dense disables event-driven stepping inside each simulation, forcing
 	// every quiet cycle to be swept densely (bit-identical either way; see
 	// gpu.SetEventDriven).
@@ -249,7 +246,6 @@ func (h *Harness) simulate(key, abbr string, m config.Model, cfg config.Config) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", key, err)
 	}
-	g.SetParallel(h.ParallelSM)
 	g.SetEventDriven(!h.Dense)
 	var hp *hostprof.Collector
 	if h.HostProf != nil {

@@ -15,9 +15,8 @@
 // a simulator without one attached pays a single nil check per SM tick.
 // Attaching one never perturbs simulation state: the collector only reads
 // clocks and counters, so outputs are bit-identical with hostprof on or off
-// (proven by the conformance test, including under -parallel). Per-SM
-// accumulators are written only by their SM — which in parallel stepping is
-// that SM's goroutine — so collection is race-free without locks.
+// (proven by the conformance test). Each SM has its own accumulator, so the
+// report breaks the step phase down per SM.
 package hostprof
 
 import (
@@ -82,9 +81,8 @@ func nowNS() int64 { return int64(time.Since(epoch)) }
 const maxNest = 4
 
 // SMProf accumulates one SM's phase timings and quiescence counters. It is
-// written only by the SM that owns it (in parallel stepping, by that SM's
-// goroutine), so no synchronization is needed; merging happens at report
-// time on quiesced collectors.
+// written only from that SM's Tick; merging happens at report time on
+// quiesced collectors.
 type SMProf struct {
 	last  int64            // mark: end of the previous lap segment
 	child [maxNest]int64   // nested time accumulated per open depth
@@ -207,8 +205,8 @@ func (p *SMProf) CountOf(ph Phase) uint64 { return p.count[ph] }
 const heapAllocsMetric = "/gc/heap/allocs:bytes"
 
 // Collector gathers one GPU's host profile: the driver-loop phase accounting
-// (with allocation deltas) plus one SMProf per SM. Driver methods run only
-// on the driver goroutine; SM accumulators only on their SM's goroutine.
+// (with allocation deltas) plus one SMProf per SM. Driver methods run from
+// the Run loop; each SM accumulator only from its SM's Tick.
 type Collector struct {
 	sms []*SMProf
 
@@ -257,9 +255,7 @@ func (c *Collector) RunBegin() {
 }
 
 // DriverLap charges the wall time and heap bytes allocated since the
-// previous driver mark to ph. In parallel stepping the SM goroutines
-// allocate concurrently, so allocation attribution is only exact for serial
-// runs; wall attribution is exact in both modes.
+// previous driver mark to ph.
 func (c *Collector) DriverLap(ph Phase) {
 	n := nowNS()
 	a := c.readAlloc()

@@ -17,9 +17,8 @@ import (
 //
 // Every node's sample holds its SELF time, so flamegraph widths add up; the
 // "step" frame's self value is clamped at zero when the per-SM breakdown
-// (measured inside the SM ticks) accounts for all of it — in parallel
-// stepping SM times overlap wall time, so the clamp keeps the profile
-// well-formed there too.
+// (measured inside the SM ticks) accounts for all of it, so clock-read
+// jitter cannot make the profile ill-formed.
 func (c *Collector) Profile() *pprofenc.Profile {
 	p := &pprofenc.Profile{
 		SampleType: []pprofenc.ValueType{

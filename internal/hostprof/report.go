@@ -70,8 +70,7 @@ type Report struct {
 	Driver []PhaseReport `json:"driver"`
 
 	// SMs breaks the "step" driver phase down per SM and carries the
-	// quiescence counters. In parallel stepping SM wall times overlap, so
-	// their sum may exceed the step phase.
+	// quiescence counters.
 	SMs []SMReport `json:"sms"`
 
 	Quiescence Quiescence `json:"quiescence"`

@@ -559,8 +559,7 @@ func (p *parser) addr(line int, s string) (isa.Reg, int32, error) {
 	}
 	inner := strings.TrimSpace(s[1 : len(s)-1])
 	off := int32(0)
-	if i := strings.IndexAny(inner[1:], "+-"); i >= 0 {
-		i++
+	if i := strings.IndexAny(inner, "+-"); i > 0 {
 		imm, err := p.intImm(line, strings.TrimSpace(inner[i+1:]))
 		if err != nil {
 			return isa.RegNone, 0, err

@@ -1,17 +1,17 @@
 package kasm
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/wirsim/wir/internal/isa"
 )
 
-// TestParseMatchesBuilder assembles a kernel from text and from the
-// programmatic Builder and requires identical code, register counts and
-// reconvergence points.
-func TestParseMatchesBuilder(t *testing.T) {
-	src := `
+// saxpySrc is saxpy with a loop, spelled with both comment styles, a
+// label, a predicated backward branch and a .shared directive.
+const saxpySrc = `
 	// saxpy-with-a-loop: out[i] = 2*in[i] + 1 for i in [0, 8)
 	.shared 64
 	        movi  r0, #0          ; i
@@ -25,7 +25,60 @@ func TestParseMatchesBuilder(t *testing.T) {
 	        bra   p0, loop
 	        exit
 `
-	got, err := Parse("saxpy", src)
+
+// roundTripSrc covers special registers, a negated forward branch, jmp,
+// float immediates, sel and bar.
+const roundTripSrc = `
+	        s2r   r0, %ctaid.x
+	        s2r   r1, %ntid.x
+	        s2r   r2, %tid.x
+	        imad  r3, r0, r1, r2
+	        isetp.ge p1, r3, #16
+	        bra   !p1, small
+	        jmp   done
+	small:  movf  r4, #3.5
+	        fmul  r4, r4, r4
+	        sel   r5, r4, r3, p1
+	done:   bar
+	        exit
+`
+
+// offsetsSrc spells a load offset in brackets, as an immediate, and
+// negative.
+const offsetsSrc = "ld.global r0, [r1+8]\nld.global r0, [r1], #8\nld.global r0, [r1-4]\nexit"
+
+// smokeSrc is the kernel the CI wirserve smoke submits.
+const smokeSrc = "movi r0, #1\niadd r0, r0, #2\nst.global [r1], r0\nexit"
+
+// parseErrorCases are malformed programs and the diagnostic each must
+// produce.
+var parseErrorCases = []struct {
+	name, src, want string
+}{
+	{"empty", "\n// nothing\n", "empty program"},
+	{"no-exit", "movi r0, #1", "must end with Exit"},
+	{"bad-op", "frobnicate r0, r1\nexit", `unknown opcode "frobnicate"`},
+	{"bad-reg", "movi r99, #1\nexit", "out of range"},
+	{"bad-pred", "isetp.lt p9, r0, #1\nexit", "out of range"},
+	{"not-a-pred", "sel r0, r1, r2, r3\nexit", "bad predicate"},
+	{"bad-label", "jmp nowhere\nexit", `unknown label "nowhere"`},
+	{"dup-label", "a: movi r0, #1\na: exit", `label "a" defined twice`},
+	{"bad-imm", "movi r0, #zork\nexit", "bad integer immediate"},
+	{"bad-space", "ld.l33t r0, [r1]\nexit", "bad address space"},
+	{"bad-cond", "isetp.zz p0, r0, #1\nexit", "bad comparison suffix"},
+	{"store-ro", "st.const [r0], r1\nexit", "read-only"},
+	{"uncond-bra", "bra top\ntop: exit", "unconditional branch is jmp"},
+	{"trailing-label", "movi r0, #1\nexit\nend:", "past the end"},
+	{"bad-addr", "ld.global r0, r1\nexit", "must be bracketed"},
+	{"empty-addr", "ld.global r0, []\nexit", "bad register"},
+	{"bad-directive", ".align 8\nexit", "unknown directive"},
+}
+
+// TestParseMatchesBuilder assembles a kernel from text and from the
+// programmatic Builder and requires identical code, register counts and
+// reconvergence points.
+func TestParseMatchesBuilder(t *testing.T) {
+	got, err := Parse("saxpy", saxpySrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -64,21 +117,7 @@ func TestParseMatchesBuilder(t *testing.T) {
 
 // TestParseRoundTripsDisassembly reparses a kernel's own listing lines.
 func TestParseRoundTrips(t *testing.T) {
-	src := `
-	        s2r   r0, %ctaid.x
-	        s2r   r1, %ntid.x
-	        s2r   r2, %tid.x
-	        imad  r3, r0, r1, r2
-	        isetp.ge p1, r3, #16
-	        bra   !p1, small
-	        jmp   done
-	small:  movf  r4, #3.5
-	        fmul  r4, r4, r4
-	        sel   r5, r4, r3, p1
-	done:   bar
-	        exit
-`
-	k, err := Parse("rt", src)
+	k, err := Parse("rt", roundTripSrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -119,27 +158,7 @@ func TestParseRoundTrips(t *testing.T) {
 // TestParseErrors checks that malformed programs fail with line-numbered
 // diagnostics rather than panicking or silently mis-assembling.
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"empty", "\n// nothing\n", "empty program"},
-		{"no-exit", "movi r0, #1", "must end with Exit"},
-		{"bad-op", "frobnicate r0, r1\nexit", `unknown opcode "frobnicate"`},
-		{"bad-reg", "movi r99, #1\nexit", "out of range"},
-		{"bad-pred", "isetp.lt p9, r0, #1\nexit", "out of range"},
-		{"not-a-pred", "sel r0, r1, r2, r3\nexit", "bad predicate"},
-		{"bad-label", "jmp nowhere\nexit", `unknown label "nowhere"`},
-		{"dup-label", "a: movi r0, #1\na: exit", `label "a" defined twice`},
-		{"bad-imm", "movi r0, #zork\nexit", "bad integer immediate"},
-		{"bad-space", "ld.l33t r0, [r1]\nexit", "bad address space"},
-		{"bad-cond", "isetp.zz p0, r0, #1\nexit", "bad comparison suffix"},
-		{"store-ro", "st.const [r0], r1\nexit", "read-only"},
-		{"uncond-bra", "bra top\ntop: exit", "unconditional branch is jmp"},
-		{"trailing-label", "movi r0, #1\nexit\nend:", "past the end"},
-		{"bad-addr", "ld.global r0, r1\nexit", "must be bracketed"},
-		{"bad-directive", ".align 8\nexit", "unknown directive"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse(c.name, c.src)
 			if err == nil {
@@ -154,7 +173,7 @@ func TestParseErrors(t *testing.T) {
 
 // TestParseOffsets covers the two offset spellings and their conflict.
 func TestParseOffsets(t *testing.T) {
-	k, err := Parse("offs", "ld.global r0, [r1+8]\nld.global r0, [r1], #8\nld.global r0, [r1-4]\nexit")
+	k, err := Parse("offs", offsetsSrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -167,4 +186,44 @@ func TestParseOffsets(t *testing.T) {
 	if _, err := Parse("both", "ld.global r0, [r1+8], #8\nexit"); err == nil || !strings.Contains(err.Error(), "both") {
 		t.Fatalf("double offset accepted or wrong error: %v", err)
 	}
+}
+
+// FuzzParse feeds arbitrary source text to the assembler, the first parser
+// on the service's input edge. Parse must never panic and must be
+// deterministic, and every kernel it accepts must end in exit with every
+// branch target and reconvergence point inside the program.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{saxpySrc, roundTripSrc, offsetsSrc, smokeSrc} {
+		f.Add(src)
+	}
+	for _, c := range parseErrorCases {
+		f.Add(c.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		k, err := Parse("fuzz", src)
+		k2, err2 := Parse("fuzz", src)
+		if !reflect.DeepEqual(k, k2) || fmt.Sprint(err) != fmt.Sprint(err2) {
+			t.Fatalf("Parse is not deterministic:\n%v, %v\n%v, %v", k, err, k2, err2)
+		}
+		if err != nil {
+			return
+		}
+		n := len(k.Code)
+		if n == 0 || k.Code[n-1].Op != isa.OpExit {
+			t.Fatalf("accepted kernel does not end in exit: %v", k.Code)
+		}
+		for pc, in := range k.Code {
+			switch in.Op {
+			case isa.OpBra:
+				if in.Join < 0 || in.Join >= n {
+					t.Fatalf("pc %d: join %d outside the %d-instruction program", pc, in.Join, n)
+				}
+				fallthrough
+			case isa.OpJmp:
+				if in.Target < 0 || in.Target >= n {
+					t.Fatalf("pc %d: target %d outside the %d-instruction program", pc, in.Target, n)
+				}
+			}
+		}
+	})
 }

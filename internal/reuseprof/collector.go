@@ -1,10 +1,9 @@
 package reuseprof
 
 // Collector owns one SMProf per SM. Attach it with GPU.SetReuseProf; the GPU
-// hands each SM its own accumulator, so the collector composes with
-// goroutine-per-SM parallel stepping without locks. Merge folds another
-// collector's accumulators in (extending the SM list if the other collector
-// is wider), so a harness can reduce many per-run collectors into one.
+// hands each SM its own accumulator. Merge folds another collector's
+// accumulators in (extending the SM list if the other collector is wider),
+// so a harness can reduce many per-run collectors into one.
 type Collector struct {
 	sms []*SMProf
 }

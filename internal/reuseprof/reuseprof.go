@@ -6,11 +6,10 @@
 // table alongside the real buffer to measure achieved-vs-achievable reuse per
 // kernel and per PC.
 //
-// The design mirrors internal/hostprof: one SMProf per SM, written only by
-// the goroutine that owns the SM (the SM's worker under goroutine-per-SM
-// parallel stepping, the driver otherwise), plain fields, no locks. Every
-// hook is gated behind a single nil check in the engine/SM hot paths, so an
-// unprofiled simulation pays one pointer test per event and nothing else.
+// The design mirrors internal/hostprof: one SMProf per SM with plain fields,
+// so the report breaks down per SM. Every hook is gated behind a single nil
+// check in the engine/SM hot paths, so an unprofiled simulation pays one
+// pointer test per event and nothing else.
 // All recording is purely observational — architectural state, replacement
 // decisions and the stats counters are bit-identical with the profiler on or
 // off (reuseprof_conformance_test.go).
@@ -198,12 +197,8 @@ func looseOf(t reuse.Tag) reuse.Tag {
 }
 
 // SMProf accumulates the reuse-decision telemetry of one SM. All fields are
-// written only by the goroutine driving the SM (dispatch-time table
-// resolution happens on the driver goroutine, strictly serialized against SM
-// ticks by the parallel runner), so there is no synchronization — the same
-// ownership discipline as hostprof.SMProf, and the reason this profiler is
-// legal under goroutine-per-SM parallel stepping where the shared-map attr
-// collector is not.
+// written only while that SM ticks or receives a dispatched block, the same
+// per-SM ownership as hostprof.SMProf.
 type SMProf struct {
 	ID int
 

@@ -69,7 +69,6 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	g.SetParallel(false)
 	g.SetEventDriven(true)
 
 	if reg == nil {

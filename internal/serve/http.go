@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -14,6 +16,10 @@ import (
 // eventPoll is the /events stream polling cadence. Fast enough that short
 // runs still produce a couple of lines, slow enough to cost nothing.
 const eventPoll = 25 * time.Millisecond
+
+// maxSubmitBytes caps a job submission body. Real requests are a few KB,
+// kasm jobs included, since they carry their source inline.
+const maxSubmitBytes = 1 << 20
 
 func (s *Server) buildMux() http.Handler {
 	mux := http.NewServeMux()
@@ -65,13 +71,27 @@ func (s *Server) apiError(w http.ResponseWriter, status int, e *APIError) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	// Strict decoding turns config typos into 400s instead of silently
 	// simulating the default they fell back to.
 	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		s.apiError(w, http.StatusBadRequest, &APIError{Error: "bad request body: " + err.Error(), ExitCode: 2})
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is one JSON value; bytes after it make the request
+		// malformed rather than something to ignore.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON request")
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.apiError(w, status, &APIError{Error: "bad request body: " + err.Error(), ExitCode: 2})
 		return
 	}
 	j, apiErr := s.submit(req)

@@ -94,30 +94,39 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) JobView {
 }
 
 // TestSubmitRejections drives every malformed-request class through the API
-// and requires a structured 400 whose exit_code matches the repo taxonomy
-// (2 = usage error), never a panic, a 500, or a silently-defaulted run.
+// and requires a structured 400 (413 for an oversize body) whose exit_code
+// matches the repo taxonomy (2 = usage error), never a panic, a 500, or a
+// silently-defaulted run.
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	cases := []struct {
 		name, body, want string
+		status           int // 0 means 400
 	}{
-		{"truncated-json", `{"kind":"run"`, "bad request body"},
-		{"unknown-top-field", `{"kindd":"run"}`, "unknown field"},
-		{"unknown-kind", `{"kind":"zap"}`, "unknown job kind"},
-		{"unknown-bench", `{"kind":"run","bench":"ZZ"}`, "unknown benchmark"},
-		{"unknown-model", `{"kind":"run","bench":"KM","model":"WAT"}`, "model"},
-		{"missing-kasm", `{"kind":"kasm"}`, "kasm section"},
-		{"bad-kasm", `{"kind":"kasm","kasm":{"source":"frob r0\nexit"}}`, "line 1"},
-		{"kasm-no-exit", `{"kind":"kasm","kasm":{"source":"movi r0, #1"}}`, "must end with Exit"},
-		{"unknown-sweep", `{"kind":"sweep","sweep":"fig99"}`, "unknown experiment"},
-		{"config-typo", `{"kind":"run","bench":"KM","config":{"NumSMss":4}}`, "unknown field"},
-		{"config-invalid", `{"kind":"run","bench":"KM","config":{"NumSMs":1}}`, "config"},
+		{"truncated-json", `{"kind":"run"`, "bad request body", 0},
+		{"unknown-top-field", `{"kindd":"run"}`, "unknown field", 0},
+		{"unknown-kind", `{"kind":"zap"}`, "unknown job kind", 0},
+		{"unknown-bench", `{"kind":"run","bench":"ZZ"}`, "unknown benchmark", 0},
+		{"unknown-model", `{"kind":"run","bench":"KM","model":"WAT"}`, "model", 0},
+		{"missing-kasm", `{"kind":"kasm"}`, "kasm section", 0},
+		{"bad-kasm", `{"kind":"kasm","kasm":{"source":"frob r0\nexit"}}`, "line 1", 0},
+		{"kasm-no-exit", `{"kind":"kasm","kasm":{"source":"movi r0, #1"}}`, "must end with Exit", 0},
+		{"unknown-sweep", `{"kind":"sweep","sweep":"fig99"}`, "unknown experiment", 0},
+		{"config-typo", `{"kind":"run","bench":"KM","config":{"NumSMss":4}}`, "unknown field", 0},
+		{"config-invalid", `{"kind":"run","bench":"KM","config":{"NumSMs":1}}`, "config", 0},
+		{"oversize-body", `{"kind":"run","bench":"` + strings.Repeat("A", maxSubmitBytes) + `"}`,
+			"too large", http.StatusRequestEntityTooLarge},
+		{"trailing-data", tinyKasmJob("trailing") + ` {"kind":"run"}`, "trailing data", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			want := c.status
+			if want == 0 {
+				want = http.StatusBadRequest
+			}
 			resp, data := postJob(t, ts, c.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400; body %s", resp.StatusCode, data)
+			if resp.StatusCode != want {
+				t.Fatalf("status %d, want %d; body %.200s", resp.StatusCode, want, data)
 			}
 			var e APIError
 			if err := json.Unmarshal(data, &e); err != nil {

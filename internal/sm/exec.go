@@ -172,13 +172,11 @@ func (s *SM) executeLoad(wc *warpCtx, fl *core.Flight, addrBase *isa.Vec) {
 		}
 		fl.MemConflicts = s.bankConflicts(addrs, fl.Mask)
 	case isa.SpaceGlobal:
-		s.enterShared()
 		// The per-SM path can serve a chaos-staled L1D line; the golden
 		// model reads through LoadGlobal and sees the truth.
 		s.ms.LoadGlobalWarp(s.ID, &addrs, fl.Mask, out)
 		fl.MemLines = coalesceInto(fl.MemLines[:0], addrs, fl.Mask, s.ms.LineBytes())
 	case isa.SpaceConst:
-		s.enterShared()
 		for i := 0; i < isa.WarpSize; i++ {
 			if fl.Mask.Active(i) {
 				out[i] = s.ms.LoadConst(addrs[i] &^ 3)
@@ -186,7 +184,6 @@ func (s *SM) executeLoad(wc *warpCtx, fl *core.Flight, addrBase *isa.Vec) {
 		}
 		fl.MemLines = coalesceInto(fl.MemLines[:0], addrs, fl.Mask, s.ms.LineBytes())
 	case isa.SpaceTex:
-		s.enterShared()
 		for i := 0; i < isa.WarpSize; i++ {
 			if fl.Mask.Active(i) {
 				out[i] = s.ms.LoadTex(addrs[i] &^ 3)
@@ -213,7 +210,6 @@ func (s *SM) executeStore(wc *warpCtx, fl *core.Flight, addrBase, val *isa.Vec) 
 		}
 		fl.MemConflicts = s.bankConflicts(addrs, fl.Mask)
 	case isa.SpaceGlobal:
-		s.enterShared()
 		for i := 0; i < isa.WarpSize; i++ {
 			if fl.Mask.Active(i) {
 				s.ms.StoreGlobal(addrs[i]&^3, val[i])

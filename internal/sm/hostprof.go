@@ -10,8 +10,6 @@ import (
 // attached, Tick runs the profiled variant, which times each phase of the
 // cycle and classifies the tick for quiescence telemetry. The profiler only
 // reads simulator state — simulation outputs are bit-identical either way.
-// The SMProf is written only from Tick, so in parallel stepping it is owned
-// by the SM's goroutine and needs no locks.
 func (s *SM) SetHostProf(p *hostprof.SMProf) { s.hp = p }
 
 // tickProfiled is Tick with phase laps and quiescence classification. It must

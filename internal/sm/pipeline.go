@@ -308,9 +308,6 @@ func (s *SM) injectMemLines(fl *core.Flight) {
 }
 
 func (s *SM) injectMemLinesWork(fl *core.Flight) {
-	if fl.MemIdx < len(fl.MemLines) {
-		s.enterShared()
-	}
 	for fl.MemIdx < len(fl.MemLines) {
 		l := fl.MemLines[fl.MemIdx]
 		var done uint64

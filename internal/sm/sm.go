@@ -111,12 +111,6 @@ type SM struct {
 	// chaos, when non-nil, injects deterministic faults into the pipeline.
 	chaos *chaos.Injector
 
-	// gate, when non-nil, is invoked before the SM's first shared
-	// memory-system access of each Tick (see SetGate). gateTick latches the
-	// cycle the gate last fired so it runs at most once per Tick.
-	gate     func()
-	gateTick uint64
-
 	// Telemetry (attached with SetInstruments; nil = disabled, and the hot
 	// paths pay only the nil check).
 	mx           *metrics.Instruments
@@ -136,8 +130,7 @@ type SM struct {
 	hp *hostprof.SMProf
 
 	// Reuse-decision profiler (attached with SetReuseProf; nil = disabled,
-	// and the hot paths pay only the nil check). Per-SM state written only by
-	// the goroutine driving this SM, so it composes with parallel stepping.
+	// and the hot paths pay only the nil check).
 	rp *reuseprof.SMProf
 }
 
@@ -187,9 +180,7 @@ func (s *SM) SetAttribution(c *attr.Collector) {
 
 // SetReuseProf attaches (or detaches, with nil) this SM's reuse-decision
 // profiler. Like attribution, attach before the first Tick so taxonomy sums
-// reconcile with the aggregate counters over the whole run. Unlike
-// attribution, the profiler's state is owned per SM, so it is legal under
-// goroutine-per-SM parallel stepping.
+// reconcile with the aggregate counters over the whole run.
 func (s *SM) SetReuseProf(p *reuseprof.SMProf) {
 	s.rp = p
 	s.eng.SetReuseProf(p)

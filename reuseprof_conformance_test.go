@@ -1,13 +1,13 @@
 // Reuse-profiler conformance: attaching the decision-level reuse/VSB
 // profiler is pure observation. Every simulation artifact — cycles,
 // wir-stats/1 counters, energy totals, the emitted wir-trace/1 stream, output
-// memory — must be bit-identical with the profiler on or off, in serial and
-// in goroutine-per-SM parallel stepping. On top of the identity contract the
-// profiler's own numbers must reconcile exactly: the miss-reason taxonomy
-// partitions every reuse-buffer lookup, the hit/miss bucket groups match both
-// the aggregate stats counters and the per-PC attribution totals, the
-// eviction ledger's counted causes match ReuseEvicts, and the shadow tables
-// never report less achievable reuse than was achieved.
+// memory — must be bit-identical with the profiler on or off. On top of the
+// identity contract the profiler's own numbers must reconcile exactly: the
+// miss-reason taxonomy partitions every reuse-buffer lookup, the hit/miss
+// bucket groups match both the aggregate stats counters and the per-PC
+// attribution totals, the eviction ledger's counted causes match
+// ReuseEvicts, and the shadow tables never report less achievable reuse than
+// was achieved.
 package wir_test
 
 import (
@@ -18,54 +18,18 @@ import (
 	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/metrics"
 	"github.com/wirsim/wir/internal/reuseprof"
-	"github.com/wirsim/wir/internal/trace"
-
-	"bytes"
 )
 
-// rpConfRun mirrors confRun with an optional reuseprof collector attached; it
-// returns the artifacts plus the collector for reconciliation checks.
-func rpConfRun(t *testing.T, abbr string, m wir.Model, parallel, profiled bool) (confResult, *reuseprof.Collector) {
+// rpRun runs one suite benchmark with a fresh reuseprof collector attached
+// and returns the artifacts plus the collector for reconciliation checks.
+func rpRun(t *testing.T, abbr string, m wir.Model) (confResult, *reuseprof.Collector) {
 	t.Helper()
-	cfg := wir.DefaultConfig(m)
-	cfg.NumSMs = 4
-	g, err := wir.NewGPU(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetParallel(parallel)
 	var rp *reuseprof.Collector
-	if profiled {
+	res := confRun(t, abbr, m, false, func(g *wir.GPU) {
 		rp = g.NewReuseProf()
 		g.SetReuseProf(rp)
-	}
-	var buf bytes.Buffer
-	jw := trace.NewJSONWriter(&buf)
-	jw.FilterKinds(trace.KindRetire, trace.KindBypass, trace.KindBarrier)
-	g.SetTracer(jw)
-	bm, err := bench.ByAbbr(abbr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := bm.Setup(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles, err := w.Run(g)
-	if err != nil {
-		t.Fatalf("%s/%v parallel=%v profiled=%v: %v", abbr, m, parallel, profiled, err)
-	}
-	if err := jw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	return confResult{
-		cycles: cycles,
-		stats:  st,
-		energy: wir.Energy(cfg, &st),
-		trace:  buf.Bytes(),
-		output: g.Mem().Snapshot(w.OutBase, w.OutWords),
-	}, rp
+	})
+	return res, rp
 }
 
 // reconcileReuse holds the profiler's taxonomy, ledger, and shadow sums
@@ -123,41 +87,35 @@ func reconcileReuse(t *testing.T, rp *reuseprof.Collector, st *wir.Stats) {
 }
 
 // TestReuseProfConformance holds the identity contract on benchmark runs:
-// profiled output equals unprofiled output exactly, serial and parallel, and
-// the profiled run's telemetry reconciles with its (identical) stats.
+// profiled output equals unprofiled output exactly, and the profiled run's
+// telemetry reconciles with its (identical) stats.
 func TestReuseProfConformance(t *testing.T) {
 	benches := []string{"KM", "HS", "BP"}
 	models := conformanceModels
-	parallels := []bool{false, true}
 	if testing.Short() {
 		// The race pass runs -short; one benchmark on the reuse-bearing model
-		// under goroutine-per-SM stepping keeps the identity contract
-		// race-covered while staying inside the package test budget. Base runs
-		// no reuse buffer and the serial variant has no goroutines for the
-		// race detector to watch, so both are full-mode only (the serial
-		// reconciliation path stays short-covered by the reconciliation test).
+		// keeps the identity contract covered while staying inside the
+		// package test budget. Base runs no reuse buffer, so it is full-mode
+		// only.
 		benches = []string{"KM"}
 		models = []wir.Model{wir.RLPV}
-		parallels = []bool{true}
 	}
 	for _, abbr := range benches {
 		for _, m := range models {
-			for _, parallel := range parallels {
-				abbr, m, parallel := abbr, m, parallel
-				t.Run(fmt.Sprintf("%s/%v/parallel=%v", abbr, m, parallel), func(t *testing.T) {
-					t.Parallel()
-					plain, _ := rpConfRun(t, abbr, m, parallel, false)
-					profiled, rp := rpConfRun(t, abbr, m, parallel, true)
-					compareConf(t, abbr, plain, profiled)
-					reconcileReuse(t, rp, &profiled.stats)
-				})
-			}
+			abbr, m := abbr, m
+			t.Run(fmt.Sprintf("%s/%v", abbr, m), func(t *testing.T) {
+				t.Parallel()
+				plain := confRun(t, abbr, m, false, nil)
+				profiled, rp := rpRun(t, abbr, m)
+				compareConf(t, abbr, plain, profiled)
+				reconcileReuse(t, rp, &profiled.stats)
+			})
 		}
 	}
 }
 
-// TestReuseProfReconciliation is the cross-layer check: on serial runs with
-// per-PC attribution riding along (and with instruments both attached and
+// TestReuseProfReconciliation is the cross-layer check: on runs with per-PC
+// attribution riding along (and with instruments both attached and
 // detached), the taxonomy bucket groups must equal the attr collector's reuse
 // totals as well as the stats counters — three independent accountings of the
 // same decisions.
@@ -285,8 +243,8 @@ func TestReuseProfMergeSums(t *testing.T) {
 	if testing.Short() {
 		t.Skip("merge arithmetic is covered by the reuseprof white-box tests; full mode exercises the benchmark-scale merge")
 	}
-	_, a := rpConfRun(t, "KM", wir.RLPV, false, true)
-	_, b := rpConfRun(t, "BP", wir.RLPV, false, true)
+	_, a := rpRun(t, "KM", wir.RLPV)
+	_, b := rpRun(t, "BP", wir.RLPV)
 
 	wantLookups := a.Lookups() + b.Lookups()
 	wantShadow := a.ShadowHits() + b.ShadowHits()

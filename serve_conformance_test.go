@@ -72,7 +72,6 @@ func localWirsimArtifacts(t *testing.T) (map[string][]byte, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetParallel(false) // wirsim: -stats json forces serial stepping
 	g.SetEventDriven(true)
 
 	reg := metrics.NewRegistry()

@@ -44,12 +44,6 @@ func run() int {
 		queue    = flag.Int("queue", 256, "max queued jobs before submissions get 503")
 		storeDir = flag.String("store", "wirserve-store", "result store directory")
 		storeMax = flag.Int64("store-max-bytes", 0, "result store size cap in bytes (0 = unlimited)")
-		interval = flag.Uint64("interval", 1000, "default sampler cadence in cycles for run jobs")
-		hostprof = flag.Bool("hostprof", false, "aggregate a host-side profile across sweep simulations (GET /v1/hostprof)")
-		distOn   = flag.Bool("dist", false, "embed a wir-dist/1 coordinator under /dist/ and fan sweep misses out to workers")
-		lease    = flag.Duration("dist-lease", 15*time.Second, "dist lease duration")
-		grace    = flag.Duration("dist-grace", 10*time.Second, "dist grace before local degradation")
-		retries  = flag.Int("dist-retries", 3, "dist re-dispatches before a unit runs locally")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
@@ -62,20 +56,14 @@ func run() int {
 	if *quiet {
 		logf = nil
 	}
-	opts := serve.Options{
+	srv, err := serve.New(serve.Options{
 		SMs:           *sms,
 		Workers:       *workers,
 		QueueDepth:    *queue,
 		StoreDir:      *storeDir,
 		StoreMaxBytes: *storeMax,
-		Interval:      *interval,
-		HostProf:      *hostprof,
 		Logf:          logf,
-	}
-	if *distOn {
-		opts.Dist = &serve.DistOptions{Lease: *lease, Grace: *grace, Retries: *retries}
-	}
-	srv, err := serve.New(opts)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wirserve: %v\n", err)
 		return 1

@@ -38,9 +38,13 @@ type RunSpec struct {
 	Model     config.Model
 	Cfg       config.Config
 	Token     string // content address; becomes the report's config_hash
-	Interval  uint64 // sampler cadence in cycles
 	Setup     func(g *gpu.GPU) (*bench.Workload, error)
 }
+
+// sampleInterval is the interval-sampler cadence of every served run, in
+// cycles: wirsim's -metrics default. It is not a job option because
+// intervals.jsonl depends on it and the store token does not cover it.
+const sampleInterval = 1000
 
 // Artifact names every run-class job produces. The set is fixed — never
 // shaped by per-request options — so a store entry is a pure function of the
@@ -58,7 +62,7 @@ const (
 // ExecuteSim runs one simulation with the full telemetry harness attached and
 // returns the artifact bundle, byte-identical to what a local
 //
-//	wirsim -stats json -interval N -metrics intervals.jsonl -trace-json trace.jsonl
+//	wirsim -stats json -metrics intervals.jsonl -trace-json trace.jsonl
 //	       -perfetto perfetto.json -pprof pprof.pb.gz -reuseprof-json reuse.json
 //
 // run of the same config produces (the conformance suite holds it to that).
@@ -76,11 +80,7 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	}
 	ins := metrics.NewInstruments(reg)
 	g.SetInstruments(ins)
-	interval := spec.Interval
-	if interval == 0 {
-		interval = 1000 // wirsim's -metrics default cadence
-	}
-	sampler := metrics.NewSampler(interval)
+	sampler := metrics.NewSampler(sampleInterval)
 	sampler.Registry = reg
 	g.SetSampler(sampler)
 

@@ -31,7 +31,6 @@ func (s *Server) buildMux() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleJobMetrics)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	mux.HandleFunc("GET /v1/hostprof", s.handleHostProf)
 
 	// /metrics and /debug/pprof come from the shared telemetry handler; the
 	// server refreshes its derived gauges before every render.
@@ -41,12 +40,6 @@ func (s *Server) buildMux() http.Handler {
 		tele.ServeHTTP(w, r)
 	}))
 	mux.Handle("/debug/pprof/", tele)
-
-	if s.coord != nil {
-		// The embedded wir-dist/1 coordinator keeps its own /v1/* routes, so
-		// it lives under a prefix: workers point at http://host:port/dist.
-		mux.Handle("/dist/", http.StripPrefix("/dist", s.coord.Handler()))
-	}
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -322,13 +315,4 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleHostProf(w http.ResponseWriter, r *http.Request) {
-	if s.h.HostProf == nil {
-		s.apiError(w, http.StatusNotFound, &APIError{Error: "host profiling is not enabled (start wirserve with -hostprof)", ExitCode: 2})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.h.HostProf.Report().WriteJSON(w)
 }

@@ -12,14 +12,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/config"
-	"github.com/wirsim/wir/internal/dist"
 	"github.com/wirsim/wir/internal/gpu"
 	"github.com/wirsim/wir/internal/harness"
-	"github.com/wirsim/wir/internal/hostprof"
 	"github.com/wirsim/wir/internal/kasm"
 	"github.com/wirsim/wir/internal/mem"
 	"github.com/wirsim/wir/internal/metrics"
@@ -34,6 +31,16 @@ const QueueSchema = "wir-serve-queue/1"
 // queueFile is the name of the persisted-queue file inside the store dir.
 const queueFile = "queue.json"
 
+// Per-job resource limits; requests past them are usage errors. Each sits
+// far above every job the repo submits itself. An SM costs about 0.21 MB at
+// gpu.New, a launch builds one descriptor per block, and global memory is
+// addressed in 32-bit bytes.
+const (
+	maxJobSMs    = 64
+	maxJobBlocks = 1 << 16
+	maxJobWords  = 1 << 24
+)
+
 // Job states.
 const (
 	StateQueued  = "queued"
@@ -45,7 +52,7 @@ const (
 // Options configures a Server.
 type Options struct {
 	// SMs is the default machine width for jobs that do not name one
-	// (default 15, the paper's GTX480 configuration).
+	// (default 15, the paper's GTX480 configuration; at most maxJobSMs).
 	SMs int
 	// Workers bounds concurrent job execution (default 2).
 	Workers int
@@ -56,28 +63,11 @@ type Options struct {
 	StoreDir string
 	// StoreMaxBytes caps the store (0 = unlimited).
 	StoreMaxBytes int64
-	// Interval is the default sampler cadence in cycles for run-class jobs
-	// (default 1000, wirsim's -metrics default).
-	Interval uint64
-	// HostProf, when true, attaches a merged host-side profiler to the sweep
-	// harness and serves it at /v1/hostprof.
-	HostProf bool
-	// Dist, when non-nil, embeds a wir-dist/1 coordinator under /dist/ and
-	// fans sweep-job cache misses out to `wirbench -worker` processes
-	// instead of simulating them in-process.
-	Dist *DistOptions
 	// Logf, when non-nil, receives server progress lines.
 	Logf func(format string, args ...any)
 	// BeforeJob, when non-nil, runs on the worker goroutine right before a
 	// job executes. Tests use it to hold a job mid-flight deterministically.
 	BeforeJob func(id string)
-}
-
-// DistOptions tunes the embedded sweep coordinator.
-type DistOptions struct {
-	Lease   time.Duration
-	Grace   time.Duration
-	Retries int
 }
 
 // JobRequest is the POST /v1/jobs body.
@@ -91,8 +81,6 @@ type JobRequest struct {
 	Model string `json:"model,omitempty"`
 	// SMs overrides the server's default machine width.
 	SMs int `json:"sms,omitempty"`
-	// Interval overrides the sampler cadence for run-class jobs.
-	Interval uint64 `json:"interval,omitempty"`
 	// Config, when present, is the full machine configuration, used verbatim
 	// after validation. When absent the server mirrors wirsim: the model
 	// default, the requested SM count, and an auto-derived watchdog.
@@ -203,13 +191,11 @@ func (j *Job) View() JobView {
 // Server is the wirserve daemon: job queue, worker pool, result store, and
 // the HTTP API over them.
 type Server struct {
-	opts   Options
-	store  *Store
-	reg    *metrics.Registry // server-wide /metrics registry
-	h      *harness.Harness  // sweep harness (its memo cache dedups in-process)
-	coord  *dist.Coordinator // non-nil when Options.Dist is set
-	localH *harness.Harness  // coordinator local-degradation harness
-	mux    http.Handler
+	opts  Options
+	store *Store
+	reg   *metrics.Registry // server-wide /metrics registry
+	h     *harness.Harness  // sweep harness (its memo cache dedups in-process)
+	mux   http.Handler
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -240,8 +226,8 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
 	}
-	if opts.Interval == 0 {
-		opts.Interval = 1000
+	if opts.SMs > maxJobSMs {
+		return nil, fmt.Errorf("serve: Options.SMs %d is above the job limit of %d", opts.SMs, maxJobSMs)
 	}
 	if opts.StoreDir == "" {
 		return nil, errors.New("serve: Options.StoreDir is required")
@@ -264,32 +250,6 @@ func New(opts Options) (*Server, error) {
 	s.h.SMs = opts.SMs
 	s.h.SetParallelism(opts.Workers)
 	s.h.Exec = s.sweepExec
-	if opts.HostProf {
-		s.h.HostProf = hostprof.NewCollector(0, 0)
-	}
-	if opts.Dist != nil {
-		// Local degradation runs on a second harness so a wedged worker
-		// fleet cannot deadlock against the sweep harness's single flight.
-		s.localH = harness.New()
-		s.localH.SMs = opts.SMs
-		s.coord = dist.NewCoordinator(dist.Config{
-			Lease:      opts.Dist.Lease,
-			Grace:      opts.Dist.Grace,
-			MaxRetries: opts.Dist.Retries,
-			Local: func(u dist.Unit) ([]byte, error) {
-				var p dist.RunPayload
-				if err := json.Unmarshal(u.Payload, &p); err != nil {
-					return nil, dist.Permanent(fmt.Errorf("bad run payload: %w", err))
-				}
-				r, err := s.localH.Execute(u.Key, p.Bench, p.Model, p.Cfg)
-				if err != nil {
-					return nil, dist.Permanent(err)
-				}
-				return json.Marshal(r)
-			},
-			Logf: opts.Logf,
-		})
-	}
 	s.mux = s.buildMux()
 	s.recoverQueue()
 	for i := 0; i < opts.Workers; i++ {
@@ -314,11 +274,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // memo hits contribute nothing — the conformance suite pins repeat
 // submissions to a delta of exactly zero.
 func (s *Server) SimCycles() uint64 {
-	total := s.simCycles.Load() + s.h.SimCycles()
-	if s.localH != nil {
-		total += s.localH.SimCycles()
-	}
-	return total
+	return s.simCycles.Load() + s.h.SimCycles()
 }
 
 // Store exposes the result store (tests and the status endpoint).
@@ -356,9 +312,6 @@ func (s *Server) Drain() {
 drained:
 	if len(pending) > 0 {
 		s.persistQueue(pending)
-	}
-	if s.coord != nil {
-		s.coord.Close()
 	}
 	s.refreshMetrics()
 	close(s.drained)
@@ -441,9 +394,8 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 	if err := cfg.Validate(); err != nil {
 		return nil, usage("config: %v", err)
 	}
-	interval := req.Interval
-	if interval == 0 {
-		interval = s.opts.Interval
+	if cfg.NumSMs > maxJobSMs {
+		return nil, usage("config: %d SMs is above the job limit of %d", cfg.NumSMs, maxJobSMs)
 	}
 
 	j := &Job{Req: req, kind: req.Kind, state: StateQueued, done: make(chan struct{}), reg: metrics.NewRegistry()}
@@ -455,12 +407,21 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 		}
 		j.key = harness.RunKey(bm.Abbr, m, nil, &cfg)
 		j.token = harness.KeyHash(j.key)
-		j.spec = &RunSpec{Benchmark: bm.Abbr, Model: m, Cfg: cfg, Token: j.token, Interval: interval, Setup: bm.Setup}
+		j.spec = &RunSpec{Benchmark: bm.Abbr, Model: m, Cfg: cfg, Token: j.token, Setup: bm.Setup}
 	case "kasm":
 		if req.Kasm == nil || req.Kasm.Source == "" {
 			return nil, usage("kasm job needs a kasm section with source")
 		}
 		ks := *req.Kasm
+		if min(ks.GridX, ks.GridY, ks.GridZ, ks.DimX, ks.DimY, ks.DimZ, ks.GlobalWords) < 0 {
+			return nil, usage("kasm: negative launch geometry or global_words")
+		}
+		if !productWithin(maxJobBlocks, ks.GridX, ks.GridY, ks.GridZ) {
+			return nil, usage("kasm: grid has more than the job limit of %d blocks", maxJobBlocks)
+		}
+		if ks.GlobalWords > maxJobWords {
+			return nil, usage("kasm: global_words %d is above the job limit of %d", ks.GlobalWords, maxJobWords)
+		}
 		if ks.Name == "" {
 			ks.Name = "kernel"
 		}
@@ -479,7 +440,7 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 		launch := gpu.Launch{Kernel: k, GridX: ks.GridX, GridY: ks.GridY, GridZ: ks.GridZ,
 			DimX: ks.DimX, DimY: ks.DimY, DimZ: ks.DimZ}
 		words := ks.GlobalWords
-		j.spec = &RunSpec{Benchmark: ks.Name, Model: m, Cfg: cfg, Token: j.token, Interval: interval,
+		j.spec = &RunSpec{Benchmark: ks.Name, Model: m, Cfg: cfg, Token: j.token,
 			Setup: func(g *gpu.GPU) (*bench.Workload, error) {
 				if words > 0 {
 					g.Mem().Alloc(words)
@@ -497,6 +458,21 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 		return nil, usage("unknown job kind %q (want run, kasm, or sweep)", req.Kind)
 	}
 	return j, nil
+}
+
+// productWithin reports whether the product of dims, a zero counting as 1,
+// is at most limit. It checks before each multiply, so it cannot overflow.
+func productWithin(limit int, dims ...int) bool {
+	n := 1
+	for _, d := range dims {
+		if d > 1 {
+			if n > limit/d {
+				return false
+			}
+			n *= d
+		}
+	}
+	return true
 }
 
 // kasmKey builds the cache key for a client kernel: like a harness run key,
@@ -652,9 +628,9 @@ func (s *Server) finishSim(j *Job, arts map[string][]byte, hit bool, cycles uint
 }
 
 // runSweep renders a named experiment through the shared sweep harness. Each
-// underlying simulation flows through sweepExec: store hit, else coordinator
-// fan-out (when configured), else in-process execution; fresh results are
-// persisted, so re-running a figure after a restart is all hits.
+// underlying simulation flows through sweepExec: store hit, else in-process
+// execution; fresh results are persisted, so re-running a figure after a
+// restart is all hits.
 func (s *Server) runSweep(j *Job) error {
 	var buf bytes.Buffer
 	err := j.sweep.Run(s.h, &buf)
@@ -664,8 +640,8 @@ func (s *Server) runSweep(j *Job) error {
 	return err
 }
 
-// sweepExec is the sweep harness's Executor: the store-then-dist-then-local
-// chain for one fully mutated config.
+// sweepExec is the sweep harness's Executor: the store-then-local chain for
+// one fully mutated config.
 func (s *Server) sweepExec(key, abbr string, m config.Model, cfg config.Config) (*harness.Result, error) {
 	token := harness.KeyHash(key)
 	if arts, err := s.store.Get(token, ArtResult); err == nil {
@@ -676,26 +652,9 @@ func (s *Server) sweepExec(key, abbr string, m config.Model, cfg config.Config) 
 			}
 		}
 	}
-	var r *harness.Result
-	if s.coord != nil {
-		payload, err := json.Marshal(dist.RunPayload{Bench: abbr, Model: m, Cfg: cfg})
-		if err != nil {
-			return nil, err
-		}
-		out, err := s.coord.Do(dist.Unit{Key: key, Kind: dist.KindRun, Payload: payload})
-		if err != nil {
-			return nil, err
-		}
-		r = new(harness.Result)
-		if err := json.Unmarshal(out, r); err != nil {
-			return nil, fmt.Errorf("serve: bad dist result for %s: %w", key, err)
-		}
-	} else {
-		var err error
-		r, err = s.h.Execute(key, abbr, m, cfg)
-		if err != nil {
-			return nil, err
-		}
+	r, err := s.h.Execute(key, abbr, m, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if rb, err := json.Marshal(r); err == nil {
 		if perr := s.store.Put(token, map[string][]byte{ArtResult: rb}); perr != nil {
@@ -726,7 +685,4 @@ func (s *Server) refreshMetrics() {
 	s.reg.Gauge("wirserve_queue_depth").Set(float64(len(s.queue)))
 	s.reg.Gauge("wirserve_jobs_running").Set(float64(s.running.Load()))
 	s.reg.SetCounter("wirserve_sim_cycles", s.SimCycles())
-	if s.coord != nil {
-		s.coord.PublishMetrics(s.reg)
-	}
 }

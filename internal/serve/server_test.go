@@ -30,7 +30,7 @@ func tinyKasmJob(name string) string {
 
 func newTestServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Server) {
 	t.Helper()
-	opts := Options{SMs: 1, Workers: 2, StoreDir: t.TempDir(), Interval: 100}
+	opts := Options{SMs: 1, Workers: 2, StoreDir: t.TempDir()}
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -99,6 +99,12 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) JobView {
 // silently-defaulted run.
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, nil)
+	big := config.Default(config.RLPV)
+	big.NumSMs = 65
+	bigCfg, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, body, want string
 		status           int // 0 means 400
@@ -117,6 +123,15 @@ func TestSubmitRejections(t *testing.T) {
 		{"oversize-body", `{"kind":"run","bench":"` + strings.Repeat("A", maxSubmitBytes) + `"}`,
 			"too large", http.StatusRequestEntityTooLarge},
 		{"trailing-data", tinyKasmJob("trailing") + ` {"kind":"run"}`, "trailing data", 0},
+		{"interval-field", `{"kind":"kasm","sms":1,"interval":100,"kasm":{"source":"exit","dim_x":32}}`, "unknown field", 0},
+		// The limit rows sit just past maxJobSMs and maxJobWords. The grid
+		// overflows int when multiplied out.
+		{"huge-grid", `{"kind":"kasm","sms":1,"kasm":{"name":"big","source":"exit","dim_x":32,` +
+			`"grid_x":2147483647,"grid_y":2147483647,"grid_z":4}}`, "blocks", 0},
+		{"negative-dim", `{"kind":"kasm","sms":1,"kasm":{"source":"exit","dim_x":-32}}`, "negative", 0},
+		{"huge-global-words", `{"kind":"kasm","sms":1,"kasm":{"source":"exit","dim_x":32,"global_words":16777217}}`, "global_words", 0},
+		{"too-many-sms", `{"kind":"kasm","sms":65,"kasm":{"source":"exit","dim_x":32}}`, "65 SMs", 0},
+		{"config-too-many-sms", `{"kind":"kasm","config":` + string(bigCfg) + `,"kasm":{"source":"exit","dim_x":32}}`, "65 SMs", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -139,6 +154,12 @@ func TestSubmitRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", e.Error, c.want)
 			}
 		})
+	}
+}
+
+func TestNewRejectsTooManySMs(t *testing.T) {
+	if _, err := New(Options{SMs: 65, StoreDir: t.TempDir()}); err == nil {
+		t.Fatal("New accepted a default of 65 SMs")
 	}
 }
 
@@ -250,7 +271,7 @@ func TestDrainPersistsQueue(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	s, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir, Interval: 100,
+	s, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir,
 		BeforeJob: func(id string) { started <- id; <-release }})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +323,7 @@ func TestDrainPersistsQueue(t *testing.T) {
 	}
 
 	// A successor over the same store recovers the persisted job and runs it.
-	s2, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir, Interval: 100})
+	s2, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -617,30 +617,6 @@ func (s *SM) sampleUtilization() {
 	}
 }
 
-// DebugState summarizes the SM's live state for watchdog diagnostics.
-func (s *SM) DebugState() string {
-	out := fmt.Sprintf("SM%d now=%d blocks=%d flights=%d pendingQ=%d dummies=%d regsInUse=%d lowReg=%v\n",
-		s.ID, s.now, s.liveBlocks, len(s.flights), len(s.pendingQ), len(s.dummies), s.eng.RegsInUse(), s.eng.LowRegMode())
-	for i, fl := range s.flights {
-		if i >= 8 {
-			out += fmt.Sprintf("  ... %d more flights\n", len(s.flights)-8)
-			break
-		}
-		out += fmt.Sprintf("  flight w%d pc=%d %s stage=%d alloc=%d readyAt=%d\n",
-			fl.Warp, fl.PC, fl.In.Op, fl.Stage, fl.Alloc, fl.ReadyAt)
-	}
-	for w, wc := range s.warps {
-		if wc.active && !wc.done {
-			pc := -1
-			if len(wc.stack) > 0 {
-				pc = wc.stack[len(wc.stack)-1].pc
-			}
-			out += fmt.Sprintf("  warp %d pc=%d barrier=%v inflight=%d stack=%d\n", w, pc, wc.barrier, wc.inflight, len(wc.stack))
-		}
-	}
-	return out
-}
-
 // processDummies advances injected dummy MOVs: one bank read then one bank
 // write each, arbitrated like any other access.
 func (s *SM) processDummies() {

@@ -73,7 +73,7 @@ func TestRunToCompletion(t *testing.T) {
 		s.Tick()
 	}
 	if !s.Idle() {
-		t.Fatalf("SM did not drain:\n%s", s.DebugState())
+		t.Fatalf("SM did not drain:\n%s", s.Diagnose())
 	}
 	if st.Issued == 0 {
 		t.Fatalf("nothing issued")
@@ -89,7 +89,7 @@ func TestDebugState(t *testing.T) {
 	k := trivialKernel(2)
 	s.TryLaunchBlock(info(k, 32))
 	s.Tick()
-	out := s.DebugState()
+	out := s.Diagnose()
 	if !strings.Contains(out, "SM0") || !strings.Contains(out, "blocks=1") {
 		t.Fatalf("debug state incomplete: %q", out)
 	}

@@ -45,12 +45,12 @@ import (
 const (
 	serveConfBench    = "DW"
 	serveConfSMs      = 2
-	serveConfInterval = 100
+	serveConfInterval = 1000 // the server's fixed sampler cadence
 )
 
 // localWirsimArtifacts replicates, independently of internal/serve, what
 //
-//	wirsim -sms 2 -model RLPV -stats json -interval 100 -metrics ... \
+//	wirsim -sms 2 -model RLPV -stats json -metrics ... \
 //	       -trace-json ... -perfetto ... -pprof ... -reuseprof-json ...
 //
 // produces for the benchmark: the six artifacts the job API serves. It
@@ -156,7 +156,7 @@ func localWirsimArtifacts(t *testing.T) (map[string][]byte, string) {
 
 func startServe(t *testing.T, dir string) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	s, err := serve.New(serve.Options{SMs: serveConfSMs, Workers: 2, StoreDir: dir, Interval: serveConfInterval})
+	s, err := serve.New(serve.Options{SMs: serveConfSMs, Workers: 2, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func fetchArtifacts(t *testing.T, ts *httptest.Server, id string) map[string][]b
 	return arts
 }
 
-const serveConfJob = `{"kind":"run","bench":"DW","model":"RLPV","sms":2,"interval":100}`
+const serveConfJob = `{"kind":"run","bench":"DW","model":"RLPV","sms":2}`
 
 // TestServeConformance is the end-to-end byte-identity and cache-economics
 // check described at the top of the file.
@@ -363,7 +363,7 @@ func TestServeConformanceKasm(t *testing.T) {
         exit
 `
 	jobBody, _ := json.Marshal(map[string]any{
-		"kind": "kasm", "model": "RLPV", "sms": 1, "interval": 100,
+		"kind": "kasm", "model": "RLPV", "sms": 1,
 		"kasm": map[string]any{"name": "probe", "source": src, "dim_x": 64, "global_words": 256},
 	})
 
@@ -386,7 +386,7 @@ func TestServeConformanceKasm(t *testing.T) {
 	cfg.NumSMs = 1
 	cfg.WatchdogCycles = mem.AutoWatchdog(&cfg)
 	spec := &serve.RunSpec{
-		Benchmark: "probe", Model: m, Cfg: cfg, Token: v.Hash, Interval: 100,
+		Benchmark: "probe", Model: m, Cfg: cfg, Token: v.Hash,
 		Setup: func(g *gpu.GPU) (*bench.Workload, error) {
 			g.Mem().Alloc(256)
 			return &bench.Workload{Launches: []gpu.Launch{{Kernel: k, GridX: 1, DimX: 64}}}, nil

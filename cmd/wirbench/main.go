@@ -9,8 +9,9 @@
 // LIST is a comma-separated subset of:
 // headline, fig2, fig12..fig22, table1, table2, table3,
 // ablation-assoc, ablation-pending, ablation-gating — or "all" (default).
-// -j widens the sweep worker pool (simulations of a figure run concurrently;
-// output is byte-identical to -j 1 — see docs/PERFORMANCE.md).
+// -j widens the sweep worker pool, the only fan-out (simulations of a figure
+// run concurrently in this process; output is byte-identical to -j 1 — see
+// docs/PERFORMANCE.md).
 // -json writes the complete machine-readable report (running everything);
 // -csv dumps every raw simulation as one row.
 // -speed times the selected experiments at -j 1 and -j N on fresh harnesses
@@ -28,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"github.com/wirsim/wir/internal/graceful"
 	"github.com/wirsim/wir/internal/harness"
@@ -55,15 +55,6 @@ func main() {
 	hostprofPath := flag.String("hostprof", "", "with -speed: also write the merged host profile as a gzip'd pprof file (go tool pprof)")
 	hostprofJSON := flag.String("hostprof-json", "", "with -speed: also write the merged wir-hostprof/1 report as JSON")
 	reuseJSON := flag.String("reuseprof-json", "", "write the merged wir-reuse/1 report (miss taxonomy, eviction ledger, shadow headroom) across every fresh simulation")
-	serveSweep := flag.String("serve-sweep", "", "listen address (host:port) for a distributed-sweep coordinator; fresh simulations are farmed to -worker processes, output stays byte-identical")
-	workerURL := flag.String("worker", "", "run as a sweep worker pulling units from this coordinator URL (e.g. http://host:9471)")
-	workerName := flag.String("worker-name", "worker", "worker name for coordinator logs and provenance")
-	distLease := flag.Duration("dist-lease", 15*time.Second, "with -serve-sweep: lease duration before an unheard-from worker's unit is reclaimed")
-	distGrace := flag.Duration("dist-grace", 10*time.Second, "with -serve-sweep: how long to wait for a first worker before degrading to local execution")
-	distRetries := flag.Int("dist-retries", 3, "with -serve-sweep: re-dispatches per unit before it falls back to local execution")
-	distChaos := flag.String("dist-chaos", "", "with -serve-sweep: dist-level chaos spec seed,rate,kinds (kinds: kill, hbdelay, dropresult, dupresult, truncate, all)")
-	distJSON := flag.String("dist-json", "", "with -serve-sweep: write the wir-dist/1 coordinator summary to this file")
-	distPatience := flag.Duration("dist-patience", 2*time.Minute, "with -worker: give up after the coordinator is unreachable this long")
 	flag.Parse()
 
 	guard := graceful.New("wirbench")
@@ -78,20 +69,6 @@ func main() {
 			h.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 		}
 		return h
-	}
-
-	if *workerURL != "" {
-		if *serveSweep != "" || *speedPath != "" {
-			fmt.Fprintln(os.Stderr, "wirbench: -worker is exclusive with -serve-sweep and -speed")
-			os.Exit(2)
-		}
-		os.Exit(runWorker(distFlags{worker: *workerURL, name: *workerName, patience: *distPatience}, newHarness))
-	}
-	if *serveSweep != "" && *speedPath != "" {
-		// The coordinator memoizes across passes, so the second -speed pass
-		// would measure cache hits, not throughput.
-		fmt.Fprintln(os.Stderr, "wirbench: -speed cannot run under -serve-sweep")
-		os.Exit(2)
 	}
 
 	want := map[string]bool{}
@@ -113,21 +90,6 @@ func main() {
 	h := newHarness(*workers)
 	if *reuseJSON != "" {
 		h.ReuseProf = reuseprof.NewCollector(0)
-	}
-	var ds *distServer
-	if *serveSweep != "" {
-		var err error
-		ds, err = startDist(distFlags{
-			serve: *serveSweep, lease: *distLease, grace: *distGrace,
-			retries: *distRetries, chaos: *distChaos,
-		}, newHarness, h)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wirbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *distJSON != "" {
-			guard.OnInterrupt(func() { ds.writeSummary(*distJSON, ds.coord.Snapshot()) })
-		}
 	}
 	if *csvPath != "" {
 		guard.OnInterrupt(func() {
@@ -190,12 +152,6 @@ func main() {
 	}
 	if *reuseJSON != "" {
 		if err := writeReuseJSON(*reuseJSON, h.ReuseProf); err != nil {
-			fmt.Fprintf(os.Stderr, "wirbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if ds != nil {
-		if err := ds.finish(*distJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "wirbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -12,17 +12,14 @@
 // and written as a JSON artifact for CI to upload. A minimized skip set
 // replays with -skip.
 //
+// Seeds run on GOMAXPROCS goroutines; failures are recorded and reported in
+// seed order, so the artifact and stderr are those of a serial sweep.
+//
 // Usage:
 //
 //	wirfuzz [-start N] [-n N] [-model RLPV] [-sms N] [-len N] [-skip 1,3,9]
 //	        [-shared auto|on|off] [-watchdog N] [-chaos seed,rate,kinds]
 //	        [-out failures.json] [-v]
-//	        [-serve-sweep ADDR [-shard N] [-dist-chaos seed,rate,kinds]]
-//	        [-worker URL [-worker-name NAME]]
-//
-// -serve-sweep distributes the sweep: seed shards are leased to wirfuzz
-// -worker processes and the merged failure artifact is byte-identical to the
-// serial sweep (see docs/DISTRIBUTED.md).
 //
 // Exit status: 0 when every seed passes, 1 on runtime errors, 2 on usage
 // errors, 3 when any seed fails, 4 when interrupted by SIGINT/SIGTERM (partial
@@ -34,10 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/wirsim/wir/internal/chaos"
 	"github.com/wirsim/wir/internal/config"
@@ -82,8 +79,8 @@ type sweep struct {
 	chaosSeed int64
 	verbose   bool
 
-	// guard (nil in dist workers) protects failures against the interrupt
-	// flusher, which writes the partial artifact on SIGINT/SIGTERM.
+	// guard (nil in tests) protects failures against the interrupt flusher,
+	// which writes the partial artifact on SIGINT/SIGTERM.
 	guard    *graceful.Guard
 	failures []failure
 }
@@ -100,16 +97,6 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "inject faults: seed,rate,kinds — the seed is offset per run so every program sees distinct faults")
 	out := flag.String("out", "", "write minimized failing seeds as JSON to this file")
 	verbose := flag.Bool("v", false, "log every seed")
-	serveSweep := flag.String("serve-sweep", "", "listen address (host:port) for a distributed-sweep coordinator; seed shards are farmed to -worker processes, artifact stays byte-identical")
-	workerURL := flag.String("worker", "", "run as a sweep worker pulling seed shards from this coordinator URL")
-	workerName := flag.String("worker-name", "worker", "worker name for coordinator logs and provenance")
-	shardSize := flag.Int64("shard", 25, "with -serve-sweep: seeds per distributed work unit")
-	distLease := flag.Duration("dist-lease", 30*time.Second, "with -serve-sweep: lease duration before an unheard-from worker's shard is reclaimed")
-	distGrace := flag.Duration("dist-grace", 10*time.Second, "with -serve-sweep: how long to wait for a first worker before degrading to local execution")
-	distRetries := flag.Int("dist-retries", 3, "with -serve-sweep: re-dispatches per shard before it falls back to local execution")
-	distChaos := flag.String("dist-chaos", "", "with -serve-sweep: dist-level chaos spec seed,rate,kinds (transport faults, distinct from -chaos simulator faults)")
-	distJSON := flag.String("dist-json", "", "with -serve-sweep: write the wir-dist/1 coordinator summary to this file")
-	distPatience := flag.Duration("dist-patience", 2*time.Minute, "with -worker: give up after the coordinator is unreachable this long")
 	flag.Parse()
 
 	if flag.NArg() != 0 {
@@ -118,17 +105,6 @@ func main() {
 	}
 	guard := graceful.New("wirfuzz")
 	guard.Watch()
-	d := fuzzDist{
-		serve: *serveSweep, worker: *workerURL, name: *workerName, shard: *shardSize,
-		lease: *distLease, grace: *distGrace, retries: *distRetries,
-		chaos: *distChaos, jsonPath: *distJSON, patience: *distPatience,
-	}
-	if d.worker != "" {
-		if d.serve != "" {
-			usageCheck(fmt.Errorf("wirfuzz: -worker is exclusive with -serve-sweep"))
-		}
-		os.Exit(fuzzWorker(d))
-	}
 	m, err := config.ParseModel(*modelName)
 	usageCheck(err)
 	if *n <= 0 || *length <= 0 {
@@ -141,14 +117,6 @@ func main() {
 	}
 	skip, err := parseSkip(*skipSpec, *length)
 	usageCheck(err)
-	if d.serve != "" {
-		if len(skip) > 0 {
-			usageCheck(fmt.Errorf("wirfuzz: -skip replays one minimized failure; it cannot be combined with -serve-sweep"))
-		}
-		if d.shard <= 0 {
-			usageCheck(fmt.Errorf("wirfuzz: -shard must be positive"))
-		}
-	}
 	sw := &sweep{
 		model: m, modelName: *modelName, sms: *sms, length: *length, skip: skip,
 		shared: *shared, watchdog: *watchdog, verbose: *verbose,
@@ -168,13 +136,7 @@ func main() {
 		sw.chaosRest = (*chaosSpec)[strings.Index(*chaosSpec, ",")+1:]
 	}
 
-	if d.serve != "" {
-		if err := sw.distSweep(d, *start, int64(*n)); err != nil {
-			fatal(err)
-		}
-	} else {
-		sw.sweepRange(*start, int64(*n))
-	}
+	sw.sweepRange(*start, int64(*n), runtime.GOMAXPROCS(0))
 
 	if *out != "" {
 		writeArtifact(*out, sw.failures)
@@ -186,41 +148,62 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wirfuzz: %d seeds clean (model %s, start %d)\n", *n, sw.modelName, *start)
 }
 
-// sweepRange runs one contiguous seed range, minimizing and recording every
-// failure. It is the unit of distribution: a dist worker executes exactly this
-// over its shard, so a sharded sweep accumulates the same failure records —
-// in the same order, once shards are merged — as the serial loop.
-func (sw *sweep) sweepRange(start, n int64) {
+// sweepRange runs seeds [start, start+n) on width goroutines, seed i on
+// worker i mod width, minimizing every failure. Each worker hands its
+// outcomes back on its own channel and this goroutine reads them in seed
+// order, so failures are recorded and reported exactly as a serial sweep
+// would, with at most two outcomes per worker in flight.
+func (sw *sweep) sweepRange(start, n int64, width int) {
+	w := max(min(int64(width), n), 1)
+	outs := make([]chan *failure, w)
+	for k := range outs {
+		outs[k] = make(chan *failure, 1)
+		go func(out chan<- *failure, first int64) {
+			for seed := first; seed < start+n; seed += w {
+				out <- sw.check(seed)
+			}
+		}(outs[k], start+int64(k))
+	}
 	for seed := start; seed < start+n; seed++ {
-		err := sw.run(sw.optionsFor(seed, sw.length, sw.skip), seed)
-		if err == nil {
+		f := <-outs[(seed-start)%w]
+		if f == nil {
 			if sw.verbose {
 				fmt.Fprintf(os.Stderr, "wirfuzz: seed %d ok\n", seed)
 			}
 			continue
 		}
-		min, minErr := sw.minimize(seed)
-		if minErr != nil {
-			err = minErr
-		}
-		f := failure{
-			Seed: seed, Len: min.Len, Skip: min.Skip, Live: min.Live(),
-			Model:  sw.modelName,
-			Shared: sw.sharedFor(seed), Chaos: sw.chaosFor(seed),
-			Error: err.Error(),
-			Repro: fmt.Sprintf("wirfuzz -start %d -n 1 -len %d -model %s -shared %s -watchdog %d",
-				seed, min.Len, sw.modelName, onOff(sw.sharedFor(seed)), sw.watchdog),
-		}
-		if len(min.Skip) > 0 {
-			f.Repro += " -skip " + skipString(min.Skip)
-		}
-		if f.Chaos != "" {
-			f.Repro += " -chaos " + f.Chaos
-		}
-		sw.record(f)
-		fmt.Fprintf(os.Stderr, "wirfuzz: seed %d FAILED (minimized to %d live of len %d): %v\n",
-			seed, min.Live(), min.Len, err)
+		sw.record(*f)
+		fmt.Fprintf(os.Stderr, "wirfuzz: seed %d FAILED (minimized to %d live of len %d): %s\n",
+			seed, f.Live, f.Len, f.Error)
 	}
+}
+
+// check runs one seed and returns its minimized failure record, or nil when
+// the seed passes.
+func (sw *sweep) check(seed int64) *failure {
+	err := sw.run(sw.optionsFor(seed, sw.length, sw.skip), seed)
+	if err == nil {
+		return nil
+	}
+	min, minErr := sw.minimize(seed)
+	if minErr != nil {
+		err = minErr
+	}
+	f := &failure{
+		Seed: seed, Len: min.Len, Skip: min.Skip, Live: min.Live(),
+		Model:  sw.modelName,
+		Shared: sw.sharedFor(seed), Chaos: sw.chaosFor(seed),
+		Error: err.Error(),
+		Repro: fmt.Sprintf("wirfuzz -start %d -n 1 -len %d -model %s -shared %s -watchdog %d",
+			seed, min.Len, sw.modelName, onOff(sw.sharedFor(seed)), sw.watchdog),
+	}
+	if len(min.Skip) > 0 {
+		f.Repro += " -skip " + skipString(min.Skip)
+	}
+	if f.Chaos != "" {
+		f.Repro += " -chaos " + f.Chaos
+	}
+	return f
 }
 
 // record appends a failure under the interrupt guard, so a partial artifact

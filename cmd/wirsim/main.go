@@ -136,8 +136,9 @@ func main() {
 		g.SetSampler(sampler)
 	}
 	if *serveAddr != "" {
-		metrics.Serve(*serveAddr, reg)
-		fmt.Fprintf(os.Stderr, "wirsim: serving /metrics and /debug/pprof on %s\n", *serveAddr)
+		srv, err := metrics.Serve(*serveAddr, reg)
+		fatal(err)
+		fmt.Fprintf(os.Stderr, "wirsim: serving /metrics and /debug/pprof on %s\n", srv.Addr)
 	}
 
 	// The host profiler watches the simulator itself (real wall time per

@@ -48,7 +48,7 @@ func (g *Guard) Watch() {
 // OnInterrupt registers a flusher to run if the process is interrupted.
 // Flushers run in registration order under the guard lock. All Guard methods
 // are nil-safe, so code shared between a guarded driver and an unguarded
-// context (a dist worker, a test) can take a *Guard without checking.
+// context (a test, say) can take a *Guard without checking.
 func (g *Guard) OnInterrupt(f func()) {
 	if g == nil {
 		return

@@ -56,8 +56,8 @@ type Harness struct {
 	ReuseProf *reuseprof.Collector
 	// Exec, when non-nil, replaces the local simulation for cache misses:
 	// Run delegates each fresh (key, config) to it instead of simulating
-	// in-process. The distributed coordinator uses this to farm units out to
-	// workers; the executor is responsible for its own throughput accounting
+	// in-process. wirserve uses this to answer sweep runs from its result
+	// store; the executor is responsible for its own throughput accounting
 	// (a delegate that ends up calling Execute on some harness updates that
 	// harness's SimCycles as usual).
 	Exec Executor
@@ -76,9 +76,10 @@ type Executor func(key, abbr string, m config.Model, cfg config.Config) (*Result
 
 // maxEntryAttempts bounds how many executions one cache slot may consume: a
 // failed run is retried once on the next demand, then the error sticks. This
-// keeps transient faults (a dead worker, say) from poisoning the cache
-// forever, without letting a deterministic simulation bug re-execute on every
-// one of the hundreds of figure lookups that share the entry.
+// keeps a transient Executor fault (one that gives up at a deadline, say)
+// from poisoning the cache forever, without letting a deterministic
+// simulation bug re-execute on every one of the hundreds of figure lookups
+// that share the entry.
 const maxEntryAttempts = 2
 
 // entry is one single-flight cache slot: the first caller executes, every
@@ -133,7 +134,7 @@ func (h *Harness) Run(abbr string, m config.Model, v *Variant) (*Result, error) 
 	if v != nil && v.Mutate != nil {
 		v.Mutate(&cfg)
 	}
-	key := runKey(abbr, m, v, &cfg)
+	key := RunKey(abbr, m, v, &cfg)
 	h.mu.Lock()
 	e, ok := h.cache[key]
 	if !ok {
@@ -190,22 +191,16 @@ func (h *Harness) Run(abbr string, m config.Model, v *Variant) (*Result, error) 
 }
 
 // Execute performs one fresh simulation for a fully-mutated configuration,
-// bypassing the memo cache and the Exec hook. Distributed workers call this
-// directly: the coordinator owns the cache, the worker owns the cycles.
+// bypassing the memo cache and the Exec hook. An Executor calls this when it
+// has no stored result: the cache stays with Run, the cycles are counted here.
 func (h *Harness) Execute(key, abbr string, m config.Model, cfg config.Config) (*Result, error) {
 	return h.simulate(key, abbr, m, cfg)
 }
 
-// runKey renders the cache key: the readable abbr/model[/variant] prefix the
-// CSV export shows, plus the config hash that makes it collision-proof.
-func runKey(abbr string, m config.Model, v *Variant, cfg *config.Config) string {
-	return RunKey(abbr, m, v, cfg)
-}
-
 // ConfigHash returns the FNV-64a hash of a fully-mutated configuration — the
 // collision-proofing suffix of every cache key. It is stable across processes
-// for identical configs, which is what lets the single-flight cache, the
-// distributed coordinator, and the wirserve result store all agree on one key.
+// for identical configs, which is what lets the single-flight cache and the
+// wirserve result store agree on one key.
 func ConfigHash(cfg *config.Config) uint64 {
 	fh := fnv.New64a()
 	fmt.Fprintf(fh, "%+v", *cfg)
@@ -307,30 +302,15 @@ type runJob struct {
 // is identical at any parallelism.
 func (h *Harness) prewarm(jobs []runJob) {
 	h.mu.Lock()
-	n := h.workers
+	serial := h.workers <= 1
 	h.mu.Unlock()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
+	if serial {
 		return
 	}
-	ch := make(chan runJob)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				_, _ = h.Run(j.abbr, j.model, j.variant)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
+	_ = h.parallelMap(len(jobs), func(i int) error {
+		_, _ = h.Run(jobs[i].abbr, jobs[i].model, jobs[i].variant)
+		return nil
+	})
 }
 
 // suiteJobs builds the prewarm list for every suite benchmark under each of

@@ -23,8 +23,8 @@ type Report struct {
 	Cycles    uint64 `json:"cycles"`
 	// ConfigHash is the canonical 16-hex content address of this run's cache
 	// key (harness.KeyHash of harness.RunKey): the same token the single-flight
-	// cache, the dist coordinator, and the wirserve result store key by, so a
-	// client can match a report to a store entry byte-for-byte.
+	// cache and the wirserve result store key by, so a client can match a
+	// report to a store entry byte-for-byte.
 	ConfigHash string `json:"config_hash,omitempty"`
 
 	Counters map[string]uint64  `json:"counters"`

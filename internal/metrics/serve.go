@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"net"
 	"net/http"
 	"net/http/pprof"
 )
@@ -32,12 +33,18 @@ func Handler(reg *Registry) http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP server for the registry on addr in a new goroutine
-// and returns the server so the caller can shut it down. Errors after
-// startup (including normal shutdown) are discarded; callers that need them
-// should construct their own server around Handler.
-func Serve(addr string, reg *Registry) *http.Server {
-	srv := &http.Server{Addr: addr, Handler: Handler(reg)}
-	go func() { _ = srv.ListenAndServe() }()
-	return srv
+// Serve binds addr, then serves the registry on it in a new goroutine and
+// returns the server, whose Addr is the bound address (the real port when
+// addr asks for port 0), so the caller can report and shut it down. A
+// failure to bind is returned; errors after startup (including normal
+// shutdown) are discarded, and callers that need them should construct their
+// own server around Handler.
+func Serve(addr string, reg *Registry) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(reg)}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, nil
 }

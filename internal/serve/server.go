@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,11 @@ const (
 	maxJobBlocks = 1 << 16
 	maxJobWords  = 1 << 24
 )
+
+// maxFinishedJobs bounds how many done or failed jobs the server remembers,
+// each with its per-job metrics registry. Past it, the oldest finished job is
+// forgotten and its id answers 404; queued and running jobs are always kept.
+const maxFinishedJobs = 1024
 
 // Job states.
 const (
@@ -200,6 +206,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // job IDs in submission order
+	finished []string // IDs of finished jobs still kept, oldest first
 	nextID   int
 	inflight map[string]chan struct{} // token -> done; serve-level single flight
 	draining bool
@@ -551,6 +558,18 @@ func (s *Server) runJob(j *Job) {
 	} else {
 		err = s.runSim(j)
 	}
+
+	// Forget the oldest finished job before this one reads as finished, so a
+	// client that sees it finish also sees the cap hold.
+	s.mu.Lock()
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old })
+	}
+	s.mu.Unlock()
 
 	j.mu.Lock()
 	if err != nil {

@@ -379,6 +379,34 @@ func TestSweepJobStatic(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsBounded: once more than maxFinishedJobs jobs have
+// finished, the oldest is forgotten, so its id answers 404 with exit_code 2
+// while the newest stays listed.
+func TestFinishedJobsBounded(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	var first, last string
+	for i := 0; i <= maxFinishedJobs; i++ {
+		j, apiErr := s.submit(JobRequest{Kind: "sweep", Sweep: "table2"})
+		if apiErr != nil {
+			t.Fatalf("submit %d: %s", i, apiErr.Error)
+		}
+		<-j.done
+		if i == 0 {
+			first = j.ID
+		}
+		last = j.ID
+	}
+	var e APIError
+	if resp := getJSON(t, ts.URL+"/v1/jobs/"+first, &e); resp.StatusCode != http.StatusNotFound || e.ExitCode != 2 {
+		t.Fatalf("oldest job %s: status %d, body %+v; want 404 with exit_code 2", first, resp.StatusCode, e)
+	}
+	var views []JobView
+	getJSON(t, ts.URL+"/v1/jobs", &views)
+	if len(views) != maxFinishedJobs || views[len(views)-1].ID != last || views[len(views)-1].State != StateDone {
+		t.Fatalf("job list has %d jobs ending %+v; want %d ending with %s done", len(views), views[len(views)-1], maxFinishedJobs, last)
+	}
+}
+
 // TestSweepExecStore exercises the sweep executor chain directly: a fresh
 // harness demand misses the store and simulates; a second server — cold memo
 // cache, same store directory — satisfies the identical demand from disk with

@@ -1,8 +1,8 @@
 // Package serve implements wirserve, the simulation-as-a-service daemon: a
 // REST/JSON job API (wir-serve/1) over the simulator, a bounded worker pool,
 // and a disk-backed content-addressed result store keyed by the harness cache
-// key hash, so a config that has ever been simulated — by this process, a
-// previous one, or a distributed sweep — is never simulated again.
+// key hash, so a config that has ever been simulated — by this process or a
+// previous one — is never simulated again.
 package serve
 
 import (

@@ -48,5 +48,6 @@ func NewStatsReport(benchmark, model string, sms int, st *Stats) *StatsReport {
 // Prometheus text format plus the net/http/pprof endpoints.
 var MetricsHandler = metrics.Handler
 
-// ServeMetrics starts an HTTP server for reg on addr in a new goroutine.
+// ServeMetrics binds addr and serves reg on it in a new goroutine; a failure
+// to bind is returned.
 var ServeMetrics = metrics.Serve

@@ -4,23 +4,6 @@
 //
 //	wirdrift -max 0.15 BENCH_baseline.json BENCH_ci.json
 //
-// With -speed, the inputs are wir-speed/1 throughput reports instead
-// (wirbench -speed), and the gate fails when simulated cycles-per-second at
-// any common worker count drops more than the tolerance:
-//
-//	wirdrift -speed -max 0.25 BENCH_speed.json BENCH_speed_ci.json
-//
-// When either side was measured on a single CPU, multi-worker runs are
-// skipped: a 1-core "speedup" only measures goroutine overhead.
-//
-// With -speed -ratchet, the baseline argument is instead an append-only
-// BENCH_history.jsonl ledger (wirbench -speed-history): the gate compares the
-// current report against the best throughput ever recorded per worker count,
-// so the floor only moves up. -warn-only reports violations without failing
-// (the break-in mode while a fresh ledger accumulates a baseline window):
-//
-//	wirdrift -speed -ratchet -max 0.25 BENCH_history.jsonl BENCH_speed_ci.json
-//
 // With -reuse-ratio, the gate instead compares the reuse_achieved_ratio
 // derived metric (achieved/achievable reuse, from the reuse profiler's shadow
 // tables — wirsim -stats json fills it). This check is always warn-only: the
@@ -38,56 +21,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/wirsim/wir/internal/metrics"
-	"github.com/wirsim/wir/internal/speed"
 )
 
 func main() {
 	max := flag.Float64("max", 0.15, "maximum allowed relative drift (0.15 = 15%)")
-	keys := flag.String("keys", "", "comma-separated derived metrics to compare (default: ipc_per_sm,bypass_rate)")
-	speedMode := flag.Bool("speed", false, "compare wir-speed/1 throughput reports instead of wir-stats/1 metric reports")
-	ratchet := flag.Bool("ratchet", false, "with -speed: baseline is a BENCH_history.jsonl ledger; compare against the best recorded run per worker count")
-	warnOnly := flag.Bool("warn-only", false, "report violations without failing (exit 0)")
 	reuseRatio := flag.Bool("reuse-ratio", false, "compare the reuse_achieved_ratio derived metric instead of the headline pair (always warn-only)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: wirdrift [-speed [-ratchet] [-warn-only] | -reuse-ratio] [-max FRAC] [-keys a,b] baseline.json current.json")
+		fmt.Fprintln(os.Stderr, "usage: wirdrift [-reuse-ratio] [-max FRAC] baseline.json current.json")
 		os.Exit(2)
-	}
-	if *ratchet && !*speedMode {
-		fmt.Fprintln(os.Stderr, "wirdrift: -ratchet requires -speed")
-		os.Exit(2)
-	}
-	if *reuseRatio && *speedMode {
-		fmt.Fprintln(os.Stderr, "wirdrift: -reuse-ratio compares wir-stats/1 reports; it cannot combine with -speed")
-		os.Exit(2)
-	}
-	if *speedMode {
-		var base *speed.Report
-		if *ratchet {
-			base = readBest(flag.Arg(0))
-			if base == nil {
-				fmt.Printf("wirdrift: %s is empty — no ratchet baseline yet, passing\n", flag.Arg(0))
-				return
-			}
-		} else {
-			base = readSpeed(flag.Arg(0))
-		}
-		violations := speed.Compare(base, readSpeed(flag.Arg(1)), *max)
-		if len(violations) == 0 {
-			fmt.Printf("wirdrift: %s vs %s throughput within %.0f%% tolerance\n", flag.Arg(0), flag.Arg(1), 100**max)
-			return
-		}
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "wirdrift:", v)
-		}
-		if *warnOnly {
-			fmt.Fprintln(os.Stderr, "wirdrift: -warn-only set, not failing")
-			return
-		}
-		os.Exit(3)
 	}
 	base := readReport(flag.Arg(0))
 	cur := readReport(flag.Arg(1))
@@ -97,21 +41,13 @@ func main() {
 		return
 	}
 
-	var keyList []string
-	if *keys != "" {
-		keyList = strings.Split(*keys, ",")
-	}
-	violations := metrics.DriftViolations(base, cur, *max, keyList...)
+	violations := metrics.DriftViolations(base, cur, *max)
 	if len(violations) == 0 {
 		fmt.Printf("wirdrift: %s vs %s within %.0f%% tolerance\n", flag.Arg(0), flag.Arg(1), 100**max)
 		return
 	}
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, "wirdrift:", v)
-	}
-	if *warnOnly {
-		fmt.Fprintln(os.Stderr, "wirdrift: -warn-only set, not failing")
-		return
 	}
 	os.Exit(3)
 }
@@ -139,42 +75,6 @@ func checkReuseRatio(base, cur *metrics.Report, max float64) {
 		fmt.Fprintln(os.Stderr, "wirdrift:", v)
 	}
 	fmt.Fprintln(os.Stderr, "wirdrift: reuse-ratio drift is warn-only, not failing")
-}
-
-// readBest loads a BENCH_history.jsonl ledger and synthesizes the ratchet
-// baseline (best run per worker count). Returns nil for an empty or missing
-// ledger — the first run of a fresh ledger has nothing to ratchet against.
-func readBest(path string) *speed.Report {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		fmt.Fprintln(os.Stderr, "wirdrift:", err)
-		os.Exit(2)
-	}
-	defer f.Close()
-	history, err := speed.ReadHistory(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wirdrift: %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	return speed.Best(history)
-}
-
-func readSpeed(path string) *speed.Report {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wirdrift:", err)
-		os.Exit(2)
-	}
-	defer f.Close()
-	r, err := speed.Read(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wirdrift: %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	return r
 }
 
 func readReport(path string) *metrics.Report {

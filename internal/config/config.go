@@ -208,11 +208,15 @@ func Default(m Model) Config {
 	}
 }
 
-// Validate checks the configuration for internally inconsistent values.
+// Validate checks the configuration for internally inconsistent values,
+// including every zero divisor and negative size that would otherwise panic
+// in gpu.New or at the first memory access.
 func (c *Config) Validate() error {
 	switch {
 	case c.NumSMs <= 0:
 		return fmt.Errorf("config: NumSMs must be positive, got %d", c.NumSMs)
+	case c.BlocksPerSM <= 0:
+		return fmt.Errorf("config: BlocksPerSM must be positive, got %d", c.BlocksPerSM)
 	case c.SchedulersPerSM <= 0 || c.WarpsPerSM%c.SchedulersPerSM != 0:
 		return fmt.Errorf("config: WarpsPerSM (%d) must divide evenly across schedulers (%d)", c.WarpsPerSM, c.SchedulersPerSM)
 	case c.PhysRegsPerSM <= 0:
@@ -221,8 +225,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: RFBankGroups must be positive, got %d", c.RFBankGroups)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("config: LineBytes must be a power of two, got %d", c.LineBytes)
+	case c.L1DWays <= 0:
+		return fmt.Errorf("config: L1DWays must be positive, got %d", c.L1DWays)
 	case c.L1DBytes%(c.L1DWays*c.LineBytes) != 0:
 		return fmt.Errorf("config: L1D size %d not divisible by ways*line", c.L1DBytes)
+	case c.L2Partitions <= 0:
+		return fmt.Errorf("config: L2Partitions must be positive, got %d", c.L2Partitions)
+	case c.L2Ways <= 0:
+		return fmt.Errorf("config: L2Ways must be positive, got %d", c.L2Ways)
 	case c.Model.Reuse() && c.ReuseEntries <= 0:
 		return fmt.Errorf("config: reuse model requires ReuseEntries > 0")
 	case c.Model.UseVSB() && c.VSBEntries < 0:
@@ -233,6 +243,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: VSBEntries %d not divisible by VSBWays %d", c.VSBEntries, c.VSBWays)
 	case c.BackendDelay < 0:
 		return fmt.Errorf("config: negative BackendDelay")
+	case c.PendingQueueSize < 0:
+		return fmt.Errorf("config: negative PendingQueueSize")
 	case c.Scheduler != "" && c.Scheduler != SchedGTO && c.Scheduler != SchedLRR:
 		return fmt.Errorf("config: unknown scheduler %q", c.Scheduler)
 	}

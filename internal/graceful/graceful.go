@@ -1,8 +1,8 @@
 // Package graceful gives long-running commands a SIGINT/SIGTERM story: on the
 // first signal, registered flushers write whatever partial artifacts exist
-// (speed ledger entries, fuzz failure lists, raw-run CSVs) and the process
-// exits with a distinct code, so CI and operators can tell "interrupted with
-// partial artifacts" apart from both success and real failure.
+// (fuzz failure lists, raw-run CSVs) and the process exits with a distinct
+// code, so CI and operators can tell "interrupted with partial artifacts"
+// apart from both success and real failure.
 package graceful
 
 import (

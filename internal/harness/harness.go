@@ -17,7 +17,6 @@ import (
 	"github.com/wirsim/wir/internal/config"
 	"github.com/wirsim/wir/internal/energy"
 	"github.com/wirsim/wir/internal/gpu"
-	"github.com/wirsim/wir/internal/hostprof"
 	"github.com/wirsim/wir/internal/reuseprof"
 	"github.com/wirsim/wir/internal/stats"
 )
@@ -41,18 +40,10 @@ type Harness struct {
 	SMs int
 	// Progress, when non-nil, receives a line per fresh simulation.
 	Progress func(string)
-	// Dense disables event-driven stepping inside each simulation, forcing
-	// every quiet cycle to be swept densely (bit-identical either way; see
-	// gpu.SetEventDriven).
-	Dense bool
-	// HostProf, when non-nil, aggregates a host-side performance profile
+	// ReuseProf, when non-nil, aggregates decision-level reuse telemetry
 	// across every fresh simulation: each run gets its own collector and is
 	// merged in under the harness lock, so the totals are deterministic even
-	// with a concurrent worker pool (sums commute).
-	HostProf *hostprof.Collector
-	// ReuseProf, when non-nil, aggregates decision-level reuse telemetry
-	// across every fresh simulation, merged under the harness lock like
-	// HostProf (merge is commutative, so totals are deterministic).
+	// with a concurrent worker pool (merge is commutative).
 	ReuseProf *reuseprof.Collector
 	// Exec, when non-nil, replaces the local simulation for cache misses:
 	// Run delegates each fresh (key, config) to it instead of simulating
@@ -241,12 +232,6 @@ func (h *Harness) simulate(key, abbr string, m config.Model, cfg config.Config) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", key, err)
 	}
-	g.SetEventDriven(!h.Dense)
-	var hp *hostprof.Collector
-	if h.HostProf != nil {
-		hp = g.NewHostProf()
-		g.SetHostProf(hp)
-	}
 	var rp *reuseprof.Collector
 	if h.ReuseProf != nil {
 		rp = g.NewReuseProf()
@@ -259,11 +244,6 @@ func (h *Harness) simulate(key, abbr string, m config.Model, cfg config.Config) 
 	cycles, err := w.Run(g)
 	if err != nil {
 		return nil, fmt.Errorf("%s run: %w", key, err)
-	}
-	if hp != nil {
-		h.mu.Lock()
-		h.HostProf.Merge(hp)
-		h.mu.Unlock()
 	}
 	if rp != nil {
 		h.mu.Lock()

@@ -74,15 +74,16 @@ var epoch = time.Now()
 
 // nowNS reads the monotonic clock. One read is a vDSO call (~tens of ns),
 // which bounds the profiler's overhead at a handful of reads per SM tick.
-func nowNS() int64 { return int64(time.Since(epoch)) }
+// Tests replace it with a clock that moves only when they step it.
+var nowNS = func() int64 { return int64(time.Since(epoch)) }
 
 // maxNest bounds the nested-timer depth: a lap region (depth 0) may contain a
 // reuse or memory span, which may itself contain a hook span.
 const maxNest = 4
 
 // SMProf accumulates one SM's phase timings and quiescence counters. It is
-// written only from that SM's Tick; merging happens at report time on
-// quiesced collectors.
+// written only from that SM's Tick; the collector sums SMs at report time,
+// after the run.
 type SMProf struct {
 	last  int64            // mark: end of the previous lap segment
 	child [maxNest]int64   // nested time accumulated per open depth
@@ -224,7 +225,7 @@ type Collector struct {
 }
 
 // NewCollector returns a collector for numSMs SMs with warpsPerSM warp slots
-// each. NewCollector(0, 0) is a valid empty aggregation target for Merge.
+// each.
 func NewCollector(numSMs, warpsPerSM int) *Collector {
 	c := &Collector{
 		sms:       make([]*SMProf, numSMs),
@@ -285,46 +286,3 @@ func (c *Collector) RunWallNS() int64 { return c.runNS }
 
 // Runs returns how many gpu.Run calls the collector observed.
 func (c *Collector) Runs() uint64 { return c.runs }
-
-// Merge folds o's accumulated data into c. Sums are commutative, so the
-// merged totals are deterministic regardless of merge order; SM lists of
-// different lengths extend c (merging runs with different SM counts keeps
-// per-SM-index attribution). Both collectors must be quiescent (no run in
-// progress).
-func (c *Collector) Merge(o *Collector) {
-	if o == nil {
-		return
-	}
-	for ph := 0; ph < NumPhases; ph++ {
-		c.dwall[ph] += o.dwall[ph]
-		c.dcount[ph] += o.dcount[ph]
-		c.dalloc[ph] += o.dalloc[ph]
-	}
-	c.runNS += o.runNS
-	c.runs += o.runs
-	for i, sp := range o.sms {
-		sp.FlushStreak()
-		if i >= len(c.sms) {
-			c.sms = append(c.sms, NewSMProf(len(sp.WarpResident)))
-		}
-		dst := c.sms[i]
-		for ph := 0; ph < NumPhases; ph++ {
-			dst.wall[ph] += sp.wall[ph]
-			dst.count[ph] += sp.count[ph]
-		}
-		dst.Ticks += sp.Ticks
-		dst.Quiet += sp.Quiet
-		dst.Idle += sp.Idle
-		dst.Streaks.Merge(sp.Streaks)
-		for w, n := range sp.WarpResident {
-			if w >= len(dst.WarpResident) {
-				dst.WarpResident = append(dst.WarpResident, 0)
-				dst.WarpBusy = append(dst.WarpBusy, 0)
-			}
-			dst.WarpResident[w] += n
-		}
-		for w, n := range sp.WarpBusy {
-			dst.WarpBusy[w] += n
-		}
-	}
-}

@@ -136,20 +136,6 @@ func (c *Collector) Report() *Report {
 	return r
 }
 
-// SkipOpportunity recomputes the headline quiescence fraction without
-// rendering a full report.
-func (c *Collector) SkipOpportunity() float64 {
-	var ticks, quiet uint64
-	for _, sp := range c.sms {
-		ticks += sp.Ticks
-		quiet += sp.Quiet
-	}
-	if ticks == 0 {
-		return 0
-	}
-	return float64(quiet) / float64(ticks)
-}
-
 // WriteJSON writes the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

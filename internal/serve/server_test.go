@@ -99,11 +99,14 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) JobView {
 // silently-defaulted run.
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	big := config.Default(config.RLPV)
-	big.NumSMs = 65
-	bigCfg, err := json.Marshal(big)
-	if err != nil {
-		t.Fatal(err)
+	cfgJSON := func(mutate func(*config.Config)) string {
+		c := config.Default(config.RLPV)
+		mutate(&c)
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
 	cases := []struct {
 		name, body, want string
@@ -131,7 +134,14 @@ func TestSubmitRejections(t *testing.T) {
 		{"negative-dim", `{"kind":"kasm","sms":1,"kasm":{"source":"exit","dim_x":-32}}`, "negative", 0},
 		{"huge-global-words", `{"kind":"kasm","sms":1,"kasm":{"source":"exit","dim_x":32,"global_words":16777217}}`, "global_words", 0},
 		{"too-many-sms", `{"kind":"kasm","sms":65,"kasm":{"source":"exit","dim_x":32}}`, "65 SMs", 0},
-		{"config-too-many-sms", `{"kind":"kasm","config":` + string(bigCfg) + `,"kasm":{"source":"exit","dim_x":32}}`, "65 SMs", 0},
+		{"config-too-many-sms", `{"kind":"kasm","config":` + cfgJSON(func(c *config.Config) { c.NumSMs = 65 }) +
+			`,"kasm":{"source":"exit","dim_x":32}}`, "65 SMs", 0},
+		// Zero ways once divided by zero: in Validate itself for L1DWays,
+		// and in gpu.New on a job worker for L2Ways.
+		{"config-zero-l1d-ways", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.L1DWays = 0 }) + `}`, "L1DWays", 0},
+		{"config-zero-l2-ways", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.L2Ways = 0 }) + `}`, "L2Ways", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -66,11 +66,11 @@ func (p *PCStats) IncVSBFalsePos() {
 	}
 }
 
-// AddStall blames one scheduler-slot stall cycle on this PC. Safe on a nil
+// AddStall blames n scheduler-slot stall cycles on this PC. Safe on a nil
 // receiver.
-func (p *PCStats) AddStall(r metrics.StallReason) {
+func (p *PCStats) AddStall(r metrics.StallReason, n uint64) {
 	if p != nil {
-		p.Stalls.Inc(r)
+		p.Stalls[r] += n
 	}
 }
 
@@ -154,8 +154,8 @@ func (c *Collector) Table(k *kasm.Kernel, sm int) *Table {
 // Tables returns every table in creation order.
 func (c *Collector) Tables() []*Table { return c.tables }
 
-// NoteUnattributedStall charges a stall cycle that has no producer PC.
-func (c *Collector) NoteUnattributedStall(r metrics.StallReason) { c.unattributed.Inc(r) }
+// NoteUnattributedStall charges n stall cycles that have no producer PC.
+func (c *Collector) NoteUnattributedStall(r metrics.StallReason, n uint64) { c.unattributed[r] += n }
 
 // Unattributed returns the stall cycles not blamed on any PC.
 func (c *Collector) Unattributed() metrics.StallCounts { return c.unattributed }

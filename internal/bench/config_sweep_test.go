@@ -10,10 +10,12 @@ import (
 )
 
 // TestConfigEdgeValuesNeverPanic sets every int field of the Base and RLPV
-// defaults (1 SM) to 0 and to -1 in turn. Each such config must either fail
-// config.Validate or build a GPU that runs DW to an answer or an error:
-// wirserve builds GPUs from client JSON on job worker goroutines, where a
-// panic ends the daemon.
+// defaults (1 SM) to 0, to -1 and to 1<<62 in turn. Each such config must
+// either fail config.Validate or build a GPU that runs DW to an answer or an
+// error: wirserve builds GPUs from client JSON on job worker goroutines,
+// where a panic ends the daemon. The huge value is one at which makeslice
+// fails before it allocates anything, so an unbounded field panics here
+// instead of exhausting memory.
 func TestConfigEdgeValuesNeverPanic(t *testing.T) {
 	b, err := ByAbbr("DW")
 	if err != nil {
@@ -27,7 +29,7 @@ func TestConfigEdgeValuesNeverPanic(t *testing.T) {
 			if f.Type != intType {
 				continue
 			}
-			for _, v := range []int64{0, -1} {
+			for _, v := range []int64{0, -1, 1 << 62} {
 				cfg := config.Default(m)
 				cfg.NumSMs = 1
 				reflect.ValueOf(&cfg).Elem().Field(i).SetInt(v)

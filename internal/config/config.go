@@ -208,10 +208,59 @@ func Default(m Model) Config {
 	}
 }
 
+// Upper bounds Validate puts on every field that sizes an allocation or
+// enters a product. Each sits far above every value an experiment uses (the
+// largest today are 512 reuse-buffer entries in Fig. 21 and a 64-entry
+// pending queue in the pending-queue ablation), and together they bound what
+// gpu.New allocates for an accepted config. They are checked before any
+// product of fields, so no later check can overflow.
+const (
+	// MaxCount bounds NumSMs, SchedulersPerSM, WarpsPerSM, BlocksPerSM,
+	// RFBankGroups, L1DWays, L2Ways and L2Partitions.
+	MaxCount = 1 << 10
+	// MaxPhysRegs bounds PhysRegsPerSM: physical register IDs are 16 bits
+	// wide, with the top ID reserved for "no register".
+	MaxPhysRegs = 1 << 15
+	// MaxCacheBytes bounds L1DBytes, ConstBytes, TexBytes and L2BytesPerPart.
+	MaxCacheBytes = 1 << 24
+	// MaxLineBytes bounds LineBytes.
+	MaxLineBytes = 1 << 12
+	// MaxEntries bounds ReuseEntries, VSBEntries, VerifyCacheSize and
+	// PendingQueueSize.
+	MaxEntries = 1 << 16
+)
+
 // Validate checks the configuration for internally inconsistent values,
-// including every zero divisor and negative size that would otherwise panic
-// in gpu.New or at the first memory access.
+// including every zero divisor, negative size and oversized allocation that
+// would otherwise panic in gpu.New or at the first memory access.
 func (c *Config) Validate() error {
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"NumSMs", c.NumSMs, MaxCount},
+		{"SchedulersPerSM", c.SchedulersPerSM, MaxCount},
+		{"WarpsPerSM", c.WarpsPerSM, MaxCount},
+		{"BlocksPerSM", c.BlocksPerSM, MaxCount},
+		{"RFBankGroups", c.RFBankGroups, MaxCount},
+		{"L1DWays", c.L1DWays, MaxCount},
+		{"L2Ways", c.L2Ways, MaxCount},
+		{"L2Partitions", c.L2Partitions, MaxCount},
+		{"PhysRegsPerSM", c.PhysRegsPerSM, MaxPhysRegs},
+		{"L1DBytes", c.L1DBytes, MaxCacheBytes},
+		{"ConstBytes", c.ConstBytes, MaxCacheBytes},
+		{"TexBytes", c.TexBytes, MaxCacheBytes},
+		{"L2BytesPerPart", c.L2BytesPerPart, MaxCacheBytes},
+		{"LineBytes", c.LineBytes, MaxLineBytes},
+		{"ReuseEntries", c.ReuseEntries, MaxEntries},
+		{"VSBEntries", c.VSBEntries, MaxEntries},
+		{"VerifyCacheSize", c.VerifyCacheSize, MaxEntries},
+		{"PendingQueueSize", c.PendingQueueSize, MaxEntries},
+	} {
+		if f.val > f.max {
+			return fmt.Errorf("config: %s %d is above the limit of %d", f.name, f.val, f.max)
+		}
+	}
 	switch {
 	case c.NumSMs <= 0:
 		return fmt.Errorf("config: NumSMs must be positive, got %d", c.NumSMs)

@@ -22,6 +22,8 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 		func(c *Config) { c.LineBytes = 100 }, // not a power of two
 		func(c *Config) { c.ReuseEntries = 0 },
 		func(c *Config) { c.BackendDelay = -1 },
+		func(c *Config) { c.ReuseEntries = MaxEntries + 1 },
+		func(c *Config) { c.NumSMs = MaxCount + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := Default(RLPV)

@@ -63,14 +63,10 @@ type GPU struct {
 	cycles   uint64
 	launches int
 
-	ins     *metrics.Instruments
 	sampler *metrics.Sampler
-	attr    *attr.Collector
 	hp      *hostprof.Collector
-	rp      *reuseprof.Collector
 
 	launchHook  func(l *Launch, infos []sm.BlockInfo)
-	chaos       *chaos.Injector
 	launchAudit bool
 
 	eventDriven bool // quiet-SM skipping + whole-GPU fast-forward (see SetEventDriven)
@@ -143,7 +139,6 @@ func (g *GPU) SetBlockDoneHook(h sm.BlockDoneHook) {
 // injector shared across SMs draws from one PRNG stream and a fixed seed
 // reproduces the same faults.
 func (g *GPU) SetChaos(inj *chaos.Injector) {
-	g.chaos = inj
 	for _, s := range g.sms {
 		s.SetChaos(inj)
 	}
@@ -152,19 +147,13 @@ func (g *GPU) SetChaos(inj *chaos.Injector) {
 
 // SetEventDriven enables (or disables) event-driven stepping for subsequent
 // Run calls (on by default). Event-driven stepping is bit-identical to dense
-// stepping: an SM whose last tick proved it inert until a known future cycle
-// is advanced with SkipTicks instead of Tick, and when every SM is quiet the
-// whole chip fast-forwards to the next scheduled event (earliest SM wake,
-// sampler interval, MSHR fill, or watchdog deadline). It is declined
-// automatically (Run steps densely) when instruments or an attribution
-// collector are attached, because those account per-cycle scheduler-slot
-// stalls that quiet ticks must keep producing.
+// stepping, whatever observers are attached: an SM whose last tick proved it
+// inert until a known future cycle is advanced with SkipTicks instead of
+// Tick, and when every SM is quiet the whole chip fast-forwards to the next
+// scheduled event (earliest SM wake, sampler interval, MSHR fill, or watchdog
+// deadline). Dense stepping is the reference the conformance suites compare
+// against.
 func (g *GPU) SetEventDriven(on bool) { g.eventDriven = on }
-
-// canEventDriven reports whether the next Run may skip quiet ticks.
-func (g *GPU) canEventDriven() bool {
-	return g.eventDriven && g.ins == nil && g.attr == nil
-}
 
 // SetParallel does nothing: Run always ticks the SMs serially in index
 // order. Independent simulations run in parallel on the harness worker pool
@@ -184,7 +173,6 @@ func (g *GPU) SetLaunchAudit(on bool) { g.launchAudit = on }
 // the memory system (nil detaches). Attach before the first Run so the stall
 // attribution partitions every scheduler-slot cycle.
 func (g *GPU) SetInstruments(ins *metrics.Instruments) {
-	g.ins = ins
 	for _, s := range g.sms {
 		s.SetInstruments(ins)
 	}
@@ -195,14 +183,10 @@ func (g *GPU) SetInstruments(ins *metrics.Instruments) {
 // exactly with the aggregate counters and the stall blame partitions every
 // scheduler-slot cycle. Attribution works with or without instruments.
 func (g *GPU) SetAttribution(c *attr.Collector) {
-	g.attr = c
 	for _, s := range g.sms {
 		s.SetAttribution(c)
 	}
 }
-
-// Attribution returns the attached collector, or nil.
-func (g *GPU) Attribution() *attr.Collector { return g.attr }
 
 // NewHostProf builds a host-profile collector sized for this GPU (one SMProf
 // per SM, one slot per warp). Attach it with SetHostProf.
@@ -212,10 +196,9 @@ func (g *GPU) NewHostProf() *hostprof.Collector {
 
 // SetHostProf attaches (or detaches, with nil) the host-side performance
 // profiler: the Run loop records driver-phase wall time and allocation
-// deltas, and every SM switches to the phase-timed Tick variant. The
-// profiler only reads clocks and counters — simulation outputs are
-// bit-identical with or without it. The collector must have at least NumSMs
-// per-SM slots; use NewHostProf.
+// deltas, and every SM's Tick times its phases. The profiler only reads
+// clocks and counters — simulation outputs are bit-identical with or without
+// it. The collector must have at least NumSMs per-SM slots; use NewHostProf.
 func (g *GPU) SetHostProf(c *hostprof.Collector) {
 	g.hp = c
 	for i, s := range g.sms {
@@ -226,9 +209,6 @@ func (g *GPU) SetHostProf(c *hostprof.Collector) {
 		}
 	}
 }
-
-// HostProf returns the attached host-profile collector, or nil.
-func (g *GPU) HostProf() *hostprof.Collector { return g.hp }
 
 // NewReuseProf builds a reuse-telemetry collector sized for this GPU (one
 // SMProf per SM). Attach it with SetReuseProf.
@@ -243,7 +223,6 @@ func (g *GPU) NewReuseProf() *reuseprof.Collector {
 // simulation outputs are bit-identical with or without it. The collector must
 // have at least NumSMs per-SM slots; use NewReuseProf.
 func (g *GPU) SetReuseProf(c *reuseprof.Collector) {
-	g.rp = c
 	for i, s := range g.sms {
 		if c != nil {
 			s.SetReuseProf(c.SM(i))
@@ -252,9 +231,6 @@ func (g *GPU) SetReuseProf(c *reuseprof.Collector) {
 		}
 	}
 }
-
-// ReuseProf returns the attached reuse-telemetry collector, or nil.
-func (g *GPU) ReuseProf() *reuseprof.Collector { return g.rp }
 
 // SetSampler attaches an interval sampler; the Run loop feeds it at each
 // interval boundary. Nil detaches.
@@ -383,7 +359,6 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 	wd := g.cfg.WatchdogCycles
 	lastRetired := g.totalRetired()
 	lastProgress := g.cycles
-	ed := g.canEventDriven()
 	// Host-profile driver laps: the setup above plus each dispatch sweep is
 	// charged to dispatch, the tick sweep to step, and everything else in the
 	// loop body (sampler, watchdog bookkeeping, end-of-launch work) to
@@ -419,7 +394,7 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 		// shared memory-system accesses included, precedes SM i+1's.
 		idle := true
 		for _, s := range g.sms {
-			if ed && s.WakeAt() > s.Now()+1 {
+			if g.eventDriven && s.WakeAt() > s.Now()+1 {
 				s.SkipTicks(1)
 			} else {
 				s.Tick()
@@ -448,7 +423,7 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 		if g.cycles > deadline {
 			return 0, g.watchdogError(l, next, total, g.cycles-lastProgress, watchdogSlack)
 		}
-		if ed {
+		if g.eventDriven {
 			g.skipAhead(lastProgress, deadline, wd)
 		}
 		if g.hp != nil {

@@ -12,7 +12,7 @@
 // sizes the payoff of event-driven stepping that skips quiescent SMs.
 //
 // The collector is attached with gpu.SetHostProf and is disabled by default;
-// a simulator without one attached pays a single nil check per SM tick.
+// a simulator without one attached pays only nil checks in each SM tick.
 // Attaching one never perturbs simulation state: the collector only reads
 // clocks and counters, so outputs are bit-identical with hostprof on or off
 // (proven by the conformance test). Each SM has its own accumulator, so the
@@ -117,8 +117,15 @@ func NewSMProf(warpsPerSM int) *SMProf {
 	}
 }
 
+// The four timer methods below are safe on a nil receiver and inline into
+// their callers (Lap and Close through an outlined body), so an SM tick
+// without a profiler pays only their nil checks.
+
 // BeginTick marks the start of one SM tick's lap sequence.
 func (p *SMProf) BeginTick() {
+	if p == nil {
+		return
+	}
 	p.last = nowNS()
 	p.child[0] = 0
 	p.depth = 0
@@ -127,6 +134,12 @@ func (p *SMProf) BeginTick() {
 // Lap charges the time since the previous mark — minus any nested spans
 // closed within it — to ph as self time, and advances the mark.
 func (p *SMProf) Lap(ph Phase) {
+	if p != nil {
+		p.lap(ph)
+	}
+}
+
+func (p *SMProf) lap(ph Phase) {
 	n := nowNS()
 	p.wall[ph] += n - p.last - p.child[0]
 	p.child[0] = 0
@@ -137,6 +150,9 @@ func (p *SMProf) Lap(ph Phase) {
 // Open starts a nested span inside the current lap segment (or inside
 // another span) and returns its start mark for Close.
 func (p *SMProf) Open() int64 {
+	if p == nil {
+		return 0
+	}
 	p.depth++
 	p.child[p.depth] = 0
 	return nowNS()
@@ -146,6 +162,12 @@ func (p *SMProf) Open() int64 {
 // minus its own children) to ph and accumulating the whole span into the
 // enclosing level so the parent's Lap or Close subtracts it exactly once.
 func (p *SMProf) Close(ph Phase, t0 int64) {
+	if p != nil {
+		p.close(ph, t0)
+	}
+}
+
+func (p *SMProf) close(ph Phase, t0 int64) {
 	d := nowNS() - t0
 	p.wall[ph] += d - p.child[p.depth]
 	p.count[ph]++

@@ -73,7 +73,6 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	g.SetEventDriven(true)
 
 	if reg == nil {
 		reg = metrics.NewRegistry()

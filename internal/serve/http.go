@@ -64,7 +64,23 @@ func (s *Server) apiError(w http.ResponseWriter, status int, e *APIError) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	j, status, apiErr := s.decodeJob(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if apiErr == nil {
+		// A decoded job is refused only by a draining server or a full queue.
+		status, apiErr = http.StatusServiceUnavailable, s.enqueue(j)
+	}
+	if apiErr != nil {
+		s.apiError(w, status, apiErr)
+		return
+	}
+	s.writeJSON(w, http.StatusAccepted, j.View())
+}
+
+// decodeJob is the submit handler's pipeline short of enqueueing: the strict
+// decode of one JSON job request, then resolve. A rejection is a usage error
+// (exit class 2) with its HTTP status: 413 for a body over the cap, else 400.
+func (s *Server) decodeJob(body io.Reader) (*Job, int, *APIError) {
+	dec := json.NewDecoder(body)
 	// Strict decoding turns config typos into 400s instead of silently
 	// simulating the default they fell back to.
 	dec.DisallowUnknownFields()
@@ -84,19 +100,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		s.apiError(w, status, &APIError{Error: "bad request body: " + err.Error(), ExitCode: 2})
-		return
+		return nil, status, &APIError{Error: "bad request body: " + err.Error(), ExitCode: 2}
 	}
-	j, apiErr := s.submit(req)
-	if apiErr != nil {
-		status := http.StatusBadRequest
-		if apiErr.ExitCode != 2 {
-			status = http.StatusServiceUnavailable
-		}
-		s.apiError(w, status, apiErr)
-		return
-	}
-	s.writeJSON(w, http.StatusAccepted, j.View())
+	j, apiErr := s.resolve(req)
+	return j, http.StatusBadRequest, apiErr
 }
 
 func (s *Server) job(id string) *Job {
@@ -197,7 +204,7 @@ func (s *Server) jobArtifacts(j *Job, keep func(string) bool) (map[string][]byte
 		sort.Strings(names)
 		return sweepArts, names, nil
 	}
-	arts, names, err := s.store.read(j.token, false, keep)
+	arts, names, err := s.store.read(j.token, false, nil, keep)
 	if err != nil {
 		return nil, nil, &APIError{Error: fmt.Sprintf("store entry %s: %v", j.token, err), ExitCode: 1}
 	}

@@ -499,10 +499,19 @@ func (s *Server) submit(req JobRequest) (*Job, *APIError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
+	if apiErr := s.enqueue(j); apiErr != nil {
+		return nil, apiErr
+	}
+	return j, nil
+}
+
+// enqueue registers a resolved job and queues it. It fails only when the
+// server is draining (exit class 4) or the queue is full (1).
+func (s *Server) enqueue(j *Job) *APIError {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, &APIError{Error: "server is draining", ExitCode: 4}
+		return &APIError{Error: "server is draining", ExitCode: 4}
 	}
 	s.nextID++
 	j.ID = fmt.Sprintf("j%06d", s.nextID)
@@ -516,11 +525,11 @@ func (s *Server) submit(req JobRequest) (*Job, *APIError) {
 		delete(s.jobs, j.ID)
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
-		return nil, &APIError{Error: "job queue is full", ExitCode: 1}
+		return &APIError{Error: "job queue is full", ExitCode: 1}
 	}
 	s.reg.Counter("wirserve_jobs_submitted").Inc()
 	s.refreshMetrics()
-	return j, nil
+	return nil
 }
 
 // --- execution ---
@@ -662,13 +671,15 @@ func (s *Server) runSweep(j *Job) error {
 // sweepExec is the sweep harness's Executor: the store-then-local chain for
 // one fully mutated config.
 func (s *Server) sweepExec(key, abbr string, m config.Model, cfg config.Config) (*harness.Result, error) {
-	token := harness.KeyHash(key)
+	// A run job with the same config has the same key, and its token is the
+	// key's hash (its stats report's config_hash). The unit stores another
+	// artifact, so it hashes the key under a prefix of its own: the two
+	// entries must not replace each other.
+	token := harness.KeyHash("sweep-unit:" + key)
 	if arts, err := s.store.Get(token, ArtResult); err == nil {
-		if rb, ok := arts[ArtResult]; ok {
-			var r harness.Result
-			if json.Unmarshal(rb, &r) == nil {
-				return &r, nil
-			}
+		var r harness.Result
+		if json.Unmarshal(arts[ArtResult], &r) == nil {
+			return &r, nil
 		}
 	}
 	r, err := s.h.Execute(key, abbr, m, cfg)

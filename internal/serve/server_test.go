@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/wirsim/wir/internal/config"
+	"github.com/wirsim/wir/internal/harness"
 )
 
 // tinyKasm is a four-instruction kernel: cheap enough that server tests
@@ -93,25 +94,25 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) JobView {
 	}
 }
 
-// TestSubmitRejections drives every malformed-request class through the API
-// and requires a structured 400 (413 for an oversize body) whose exit_code
-// matches the repo taxonomy (2 = usage error), never a panic, a 500, or a
-// silently-defaulted run.
-func TestSubmitRejections(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+// rejection is one malformed submission and what its error must mention.
+type rejection struct {
+	name, body, want string
+	status           int // 0 means 400
+}
+
+// submitRejections returns every malformed-request class the API must
+// refuse as a usage error.
+func submitRejections(tb testing.TB) []rejection {
 	cfgJSON := func(mutate func(*config.Config)) string {
 		c := config.Default(config.RLPV)
 		mutate(&c)
 		b, err := json.Marshal(c)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return string(b)
 	}
-	cases := []struct {
-		name, body, want string
-		status           int // 0 means 400
-	}{
+	return []rejection{
 		{"truncated-json", `{"kind":"run"`, "bad request body", 0},
 		{"unknown-top-field", `{"kindd":"run"}`, "unknown field", 0},
 		{"unknown-kind", `{"kind":"zap"}`, "unknown job kind", 0},
@@ -142,8 +143,23 @@ func TestSubmitRejections(t *testing.T) {
 			cfgJSON(func(c *config.Config) { c.L1DWays = 0 }) + `}`, "L1DWays", 0},
 		{"config-zero-l2-ways", `{"kind":"run","bench":"DW","config":` +
 			cfgJSON(func(c *config.Config) { c.L2Ways = 0 }) + `}`, "L2Ways", 0},
+		// Sizes past the config bounds. The first once panicked in
+		// makeslice on a job worker, ending the daemon; the second divided
+		// by zero in Validate itself, since ways*line wrapped to 0.
+		{"config-huge-reuse-entries", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.ReuseEntries = 1 << 62 }) + `}`, "ReuseEntries", 0},
+		{"config-line-bytes-overflow", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.LineBytes = 1 << 62 }) + `}`, "LineBytes", 0},
 	}
-	for _, c := range cases {
+}
+
+// TestSubmitRejections drives every malformed-request class through the API
+// and requires a structured 400 (413 for an oversize body) whose exit_code
+// matches the repo taxonomy (2 = usage error), never a panic, a 500, or a
+// silently-defaulted run.
+func TestSubmitRejections(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	for _, c := range submitRejections(t) {
 		t.Run(c.name, func(t *testing.T) {
 			want := c.status
 			if want == 0 {
@@ -165,6 +181,44 @@ func TestSubmitRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzJobRequest feeds arbitrary bodies through the submit handler's strict
+// decode and resolve. It never enqueues or simulates what they accept: a
+// fuzzer that built GPUs from the configs it accepts could exhaust the
+// machine. Nothing may panic, every rejection must be a usage error with a
+// 400 or 413, and every accepted run or kasm job must carry a well-formed
+// token and a valid config within the job SM limit.
+func FuzzJobRequest(f *testing.F) {
+	for _, c := range submitRejections(f) {
+		f.Add([]byte(c.body))
+	}
+	f.Add([]byte(`{"kind":"run","bench":"DW","model":"RLPV","sms":2}`))
+	f.Add([]byte(tinyKasmJob("seed")))
+	f.Add([]byte(`{"kind":"sweep","sweep":"table2"}`))
+	s := &Server{opts: Options{SMs: 15}} // resolve reads only the default width
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), maxSubmitBytes)
+		j, status, apiErr := s.decodeJob(r)
+		if apiErr != nil {
+			if apiErr.ExitCode != 2 || (status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge) {
+				t.Fatalf("rejection is not a usage error: status %d, %+v", status, apiErr)
+			}
+			return
+		}
+		if j.sweep != nil {
+			return
+		}
+		if !ValidToken(j.token) {
+			t.Fatalf("accepted %s job has token %q", j.kind, j.token)
+		}
+		if err := j.spec.Cfg.Validate(); err != nil {
+			t.Fatalf("accepted %s job has an invalid config: %v", j.kind, err)
+		}
+		if n := j.spec.Cfg.NumSMs; n > maxJobSMs {
+			t.Fatalf("accepted %s job has %d SMs, above the limit of %d", j.kind, n, maxJobSMs)
+		}
+	})
 }
 
 func TestNewRejectsTooManySMs(t *testing.T) {
@@ -456,6 +510,84 @@ func TestSweepExecStore(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("store round-trip changed the result:\n%s\n---\n%s", j1, j2)
 	}
+}
+
+// TestRunJobAndSweepUnitKeepSeparateEntries: a run job whose config equals a
+// sweep unit's has the same cache key. In either order, neither may answer
+// from or overwrite the other's store entry. A run entry that holds only a
+// sweep result, as older servers wrote them, is a miss rather than a hit
+// without stats.json.
+func TestRunJobAndSweepUnitKeepSeparateEntries(t *testing.T) {
+	cfg := config.Default(config.RLPV)
+	cfg.NumSMs = 1 // the test server's sweep harness width
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runJob := `{"kind":"run","bench":"DW","config":` + string(b) + `}`
+	runToken := harness.KeyHash(harness.RunKey("DW", config.RLPV, nil, &cfg))
+	sweepUnit := func(t *testing.T, s *Server) {
+		t.Helper()
+		if _, err := s.h.Run("DW", config.RLPV, nil); err != nil {
+			t.Fatalf("sweep unit: %v", err)
+		}
+	}
+	// run submits the run job and requires it done, with the given hit flag,
+	// a cycle count and a downloadable stats.json.
+	run := func(t *testing.T, ts *httptest.Server, wantHit bool) {
+		t.Helper()
+		_, data := postJob(t, ts, runJob)
+		var v JobView
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatalf("submit: %v (%s)", err, data)
+		}
+		if v.Hash != runToken {
+			t.Fatalf("run job token %s, want %s", v.Hash, runToken)
+		}
+		done := waitJob(t, ts, v.ID)
+		if done.State != StateDone || done.Hit != wantHit || done.Cycles == 0 {
+			t.Fatalf("run job: state=%s hit=%v cycles=%d; want done, hit=%v, cycles > 0",
+				done.State, done.Hit, done.Cycles, wantHit)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/artifacts/" + ArtStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stats.json download: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	t.Run("sweep-unit-first", func(t *testing.T) {
+		dir := t.TempDir()
+		s, ts := newTestServer(t, func(o *Options) { o.StoreDir = dir })
+		sweepUnit(t, s)
+		run(t, ts, false)
+		// A second server, cold memo cache, still finds the unit's result.
+		s2, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Drain()
+		sweepUnit(t, s2)
+		if got := s2.SimCycles(); got != 0 {
+			t.Fatalf("sweep unit re-simulated %d cycles: the run job replaced its entry", got)
+		}
+	})
+	t.Run("run-job-first", func(t *testing.T) {
+		s, ts := newTestServer(t, nil)
+		run(t, ts, false)
+		sweepUnit(t, s)
+		run(t, ts, true)
+	})
+	t.Run("old-sweep-entry", func(t *testing.T) {
+		s, ts := newTestServer(t, nil)
+		if err := s.Store().Put(runToken, map[string][]byte{ArtResult: []byte("{}")}); err != nil {
+			t.Fatal(err)
+		}
+		run(t, ts, false)
+	})
 }
 
 // corruptSection flips one payload byte of the named section of a store

@@ -134,12 +134,13 @@ func (s *Store) Counters() (hits, misses, evictions, quarantines uint64) {
 
 // Get reads the entry for token and returns the named artifacts, or every
 // artifact when none is named. The read verifies every section whatever it
-// keeps, and a hit refreshes the entry's recency. A missing entry, or one in
-// the old wir-store/1 format, returns ErrNotFound. A corrupt or truncated
-// entry is quarantined (renamed aside, dropped from the index) and returns an
-// error wrapping ErrCorrupt — callers treat both as a miss and re-simulate.
+// keeps, and a hit refreshes the entry's recency. A missing entry, one in the
+// old wir-store/1 format, or one that lacks a named artifact returns
+// ErrNotFound. A corrupt or truncated entry is quarantined (renamed aside,
+// dropped from the index) and returns an error wrapping ErrCorrupt — callers
+// treat both as a miss and re-simulate.
 func (s *Store) Get(token string, names ...string) (map[string][]byte, error) {
-	arts, _, err := s.read(token, true, keepNamed(names))
+	arts, _, err := s.read(token, true, names, keepNamed(names))
 	return arts, err
 }
 
@@ -148,7 +149,7 @@ func (s *Store) Get(token string, names ...string) (map[string][]byte, error) {
 // /metrics gauges report. Verification, corruption handling and recency
 // refresh are identical to Get.
 func (s *Store) Peek(token string, names ...string) (map[string][]byte, error) {
-	arts, _, err := s.read(token, false, keepNamed(names))
+	arts, _, err := s.read(token, false, names, keepNamed(names))
 	return arts, err
 }
 
@@ -162,8 +163,9 @@ func keepNamed(names []string) func(string) bool {
 
 // read streams the entry for token through the codec, keeping the payloads
 // keep selects, and returns them with every artifact name in entry order.
-// count selects hit/miss accounting.
-func (s *Store) read(token string, count bool, keep func(string) bool) (map[string][]byte, []string, error) {
+// An entry without every artifact need names is a miss. count selects
+// hit/miss accounting.
+func (s *Store) read(token string, count bool, need []string, keep func(string) bool) (map[string][]byte, []string, error) {
 	if !ValidToken(token) {
 		return nil, nil, fmt.Errorf("%w: bad token %q", ErrNotFound, token)
 	}
@@ -190,6 +192,12 @@ func (s *Store) read(token string, count bool, keep func(string) bool) (map[stri
 	}
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, n := range need {
+		if _, ok := arts[n]; !ok {
+			s.miss(count, false)
+			return nil, nil, fmt.Errorf("%w: entry has no %s", ErrNotFound, n)
+		}
 	}
 	now := time.Now()
 	s.mu.Lock()

@@ -80,7 +80,10 @@ var readPaths = []struct {
 	{"Peek", func(s *Store) error { _, err := s.Peek(tokA); return err }},
 	{"Get-by-name", func(s *Store) error { _, err := s.Get(tokA, "stats.json"); return err }},
 	{"Peek-by-name", func(s *Store) error { _, err := s.Peek(tokA, "stats.json"); return err }},
-	{"index", func(s *Store) error { _, _, err := s.read(tokA, false, func(string) bool { return false }); return err }},
+	{"index", func(s *Store) error {
+		_, _, err := s.read(tokA, false, nil, func(string) bool { return false })
+		return err
+	}},
 }
 
 // sectionSpan returns the payload bounds of the named section of an entry.

@@ -64,20 +64,28 @@ func (s *SM) issueCycle() {
 				s.issuedCycles[g]++
 			}
 		} else if s.mx != nil || s.attr != nil {
-			reason, blamed := s.classifyStall(lo, hi)
-			s.stalls[g].Inc(reason)
-			if s.attr != nil {
-				// Blame the stall cycle on the blocking producer's PC; cycles
-				// with no blamable producer (empty group, barrier, pipeline
-				// backpressure, work outside the flight list) accumulate in
-				// the collector so the per-PC sums still partition the
-				// aggregate stall report exactly.
-				if blamed != nil && blamed.Attr != nil {
-					blamed.Attr.AddStall(reason)
-				} else {
-					s.attr.NoteUnattributedStall(reason)
-				}
-			}
+			s.chargeStall(g, lo, hi, 1)
+		}
+	}
+}
+
+// chargeStall charges n cycles in which scheduler group g (warps [lo,hi))
+// issued nothing. The reason goes to the slot's stall counts and, with
+// attribution attached, to the blocking producer's PC; cycles with no
+// blamable producer (empty group, barrier, pipeline backpressure, work
+// outside the flight list) accumulate in the collector so the per-PC sums
+// still partition the aggregate stall report exactly. A dense tick charges
+// one cycle; SkipTicks charges a whole quiet span at once, which is exact
+// because a skipped span changes no warp or flight state, so every cycle of
+// it has the same reason and the same producer.
+func (s *SM) chargeStall(g, lo, hi int, n uint64) {
+	reason, blamed := s.classifyStall(lo, hi)
+	s.stalls[g][reason] += n
+	if s.attr != nil {
+		if blamed != nil && blamed.Attr != nil {
+			blamed.Attr.AddStall(reason, n)
+		} else {
+			s.attr.NoteUnattributedStall(reason, n)
 		}
 	}
 }
@@ -114,9 +122,10 @@ func (s *SM) classifyStall(lo, hi int) (metrics.StallReason, *core.Flight) {
 		}
 		// The warp has a next instruction but a scoreboard hazard; name the
 		// resource its oldest in-flight instruction is waiting on. (canIssue
-		// ran for every warp in the group this cycle; warps it served from
-		// the memo have had no state change since their last mergeStack, so
-		// the stack state is current either way.)
+		// ran for every warp in the group this cycle, or in the last real
+		// tick before a skipped span; warps it served from the memo have had
+		// no state change since their last mergeStack, so the stack state is
+		// current either way.)
 		upgrade(s.hazardReason(w))
 	}
 	return best, bestFl

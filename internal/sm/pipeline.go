@@ -33,13 +33,9 @@ func (s *SM) advanceFlights(renameSlots, reuseSlots *int) {
 		case core.StageReuse:
 			if s.now >= fl.ReadyAt && *reuseSlots > 0 {
 				*reuseSlots--
-				if s.hp != nil {
-					t0 := s.hp.Open()
-					s.reuseStage(fl)
-					s.hp.Close(hostprof.PhaseSMReuse, t0)
-				} else {
-					s.reuseStage(fl)
-				}
+				t0 := s.hp.Open()
+				s.reuseStage(fl)
+				s.hp.Close(hostprof.PhaseSMReuse, t0)
 				if fl.Stage == core.StageWaiting {
 					// Parked in the pending queue; tracked there.
 					continue
@@ -298,13 +294,9 @@ func (s *SM) startMemAccess(fl *core.Flight) {
 // system, resuming across cycles when MSHRs fill up. The memory-system time
 // is charged to the mem phase when profiling.
 func (s *SM) injectMemLines(fl *core.Flight) {
-	if s.hp != nil {
-		t0 := s.hp.Open()
-		s.injectMemLinesWork(fl)
-		s.hp.Close(hostprof.PhaseSMMem, t0)
-		return
-	}
+	t0 := s.hp.Open()
 	s.injectMemLinesWork(fl)
+	s.hp.Close(hostprof.PhaseSMMem, t0)
 }
 
 func (s *SM) injectMemLinesWork(fl *core.Flight) {
@@ -354,13 +346,9 @@ func (s *SM) retire(fl *core.Flight) {
 	s.eng.Retire(fl)
 	s.st.Retired++
 	if s.Retire != nil {
-		if s.hp != nil {
-			t0 := s.hp.Open()
-			s.Retire(s.retireEvent(wc, fl))
-			s.hp.Close(hostprof.PhaseSMHooks, t0)
-		} else {
-			s.Retire(s.retireEvent(wc, fl))
-		}
+		t0 := s.hp.Open()
+		s.Retire(s.retireEvent(wc, fl))
+		s.hp.Close(hostprof.PhaseSMHooks, t0)
 	}
 	s.emit(trace.KindRetire, fl)
 	if s.mx != nil {

@@ -126,7 +126,7 @@ type SM struct {
 	attrCost *energy.Coefficients
 
 	// Host-side phase profiler (attached with SetHostProf; nil = disabled,
-	// and Tick pays only the nil check).
+	// and Tick pays only the nil checks of its nil-safe timer calls).
 	hp *hostprof.SMProf
 
 	// Reuse-decision profiler (attached with SetReuseProf; nil = disabled,
@@ -224,16 +224,7 @@ func (s *SM) emit(k trace.Kind, fl *core.Flight) {
 	if s.Trace == nil {
 		return
 	}
-	if s.hp != nil {
-		t0 := s.hp.Open()
-		s.emitEvent(k, fl)
-		s.hp.Close(hostprof.PhaseSMHooks, t0)
-		return
-	}
-	s.emitEvent(k, fl)
-}
-
-func (s *SM) emitEvent(k trace.Kind, fl *core.Flight) {
+	t0 := s.hp.Open()
 	wc := s.warps[fl.Warp]
 	info := &s.blocks[wc.block].info
 	blockLin := (info.BlockZ*info.GridY+info.BlockY)*info.GridX + info.BlockX
@@ -247,6 +238,7 @@ func (s *SM) emitEvent(k trace.Kind, fl *core.Flight) {
 		e.Result = trace.HashResult((*[32]uint32)(&fl.Result))
 	}
 	s.Trace.Emit(e)
+	s.hp.Close(hostprof.PhaseSMHooks, t0)
 }
 
 // warpCtx is the state of one warp slot.
@@ -456,13 +448,9 @@ func (s *SM) completeBlockIfDone(slot int) {
 		}
 	}
 	if s.BlockDone != nil {
-		if s.hp != nil {
-			t0 := s.hp.Open()
-			s.BlockDone(&b.info, b.shared)
-			s.hp.Close(hostprof.PhaseSMHooks, t0)
-		} else {
-			s.BlockDone(&b.info, b.shared)
-		}
+		t0 := s.hp.Open()
+		s.BlockDone(&b.info, b.shared)
+		s.hp.Close(hostprof.PhaseSMHooks, t0)
 	}
 	s.eng.BlockComplete(slot, b.warps)
 	for _, w := range b.warps {
@@ -475,29 +463,45 @@ func (s *SM) completeBlockIfDone(slot int) {
 	s.dirty = true // a freed slot can admit a new block next cycle
 }
 
-// Tick advances the SM by one cycle.
+// Tick advances the SM by one cycle. With a host profiler attached it also
+// laps each phase of the cycle and classifies the tick for quiescence
+// telemetry; the profiler's methods are nil-safe, so an unprofiled tick pays
+// only their nil checks.
 func (s *SM) Tick() {
-	if s.hp != nil {
-		s.tickProfiled()
-		return
-	}
+	hp := s.hp
 	issuedBefore := s.st.Issued
 	s.dirty = false
 	s.now++
+	// hadWork is latched after the cycle increment so the ReadyAt comparison
+	// sees the same clock the phases below will.
+	hadWork := hp != nil && s.hasWork()
+
+	hp.BeginTick()
 	s.rf.BeginCycle()
 	s.eng.BeginCycle()
-
 	s.processDummies()
+	hp.Lap(hostprof.PhaseSMRegfile)
+
 	reuseSlots := s.cfg.SchedulersPerSM
 	renameSlots := s.cfg.SchedulersPerSM
 	s.advanceFlights(&renameSlots, &reuseSlots)
+	hp.Lap(hostprof.PhaseSMExecute)
+
 	s.checkPendingQueue(&reuseSlots)
+	hp.Lap(hostprof.PhaseSMReuse)
+
 	s.issueCycle()
+	hp.Lap(hostprof.PhaseSMIssue)
+
 	s.sampleUtilization()
 	if s.rp != nil {
 		s.rp.ObserveCycle(s.eng.ReuseOccupancy(), s.now)
 	}
+	if hp != nil {
+		s.observeQuiescence(hadWork, issuedBefore)
+	}
 	s.computeWake(issuedBefore)
+	hp.Lap(hostprof.PhaseSMOther)
 }
 
 // computeWake derives, at the end of a tick, the earliest future cycle at
@@ -543,10 +547,11 @@ func (s *SM) Wake() { s.wake = 0 }
 // for n consecutive quiet dense ticks. The caller (the event-driven stepper)
 // must have proven the SM cannot do work in any of them: s.now+n must not
 // reach WakeAt. All per-cycle telemetry that dense quiet ticks would have
-// recorded — utilization samples, the reuse-profiler occupancy series, the
-// host profiler's quiet/idle tick counts and warp-slot occupancy — is
-// recorded in closed form, so every downstream artifact is bit-identical to
-// dense stepping.
+// recorded — utilization samples and gauges, the per-slot stall counts and
+// their per-PC blame, the reuse-profiler occupancy series, the host
+// profiler's quiet/idle tick counts and warp-slot occupancy — is recorded in
+// closed form, so every downstream artifact is bit-identical to dense
+// stepping.
 func (s *SM) SkipTicks(n uint64) {
 	if n == 0 {
 		return
@@ -554,6 +559,12 @@ func (s *SM) SkipTicks(n uint64) {
 	first := s.now + 1
 	s.now += n
 	s.skipUtilization(n)
+	if s.mx != nil || s.attr != nil {
+		per := s.warpsPerGroup()
+		for g := range s.stalls {
+			s.chargeStall(g, g*per, (g+1)*per, n)
+		}
+	}
 	if s.rp != nil {
 		s.rp.ObserveQuietCycles(s.eng.ReuseOccupancy(), first, n)
 	}
@@ -587,9 +598,8 @@ func (s *SM) skipUtilization(n uint64) {
 		s.st.RegUtilPeak = u
 	}
 	if s.mx != nil {
-		// Unreachable under event-driven stepping (instruments force dense),
-		// but kept equivalent for safety: the gauges would have been refreshed
-		// with the same constant values on each sample.
+		// Dense ticks would have refreshed the gauges with these same
+		// constant values on each sample.
 		s.gRegs.Set(float64(u))
 		s.gReuseOcc.Set(float64(s.eng.ReuseOccupancy()))
 		s.gVSBOcc.Set(float64(s.eng.VSBOccupancy()))

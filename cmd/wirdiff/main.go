@@ -27,7 +27,7 @@
 //
 // Exit status: 0 when the streams (and outputs, if compared) agree, 1 on
 // runtime errors, 2 on usage errors, 3 on any divergence — the shared
-// taxonomy of wirsim/wirfuzz/wirdrift (docs/ROBUSTNESS.md).
+// taxonomy of wirsim and wirfuzz (docs/ROBUSTNESS.md).
 package main
 
 import (

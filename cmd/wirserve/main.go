@@ -1,9 +1,9 @@
 // wirserve is the simulation-as-a-service daemon: a persistent process that
-// accepts machine configs, client kernels, and named sweep experiments over a
-// REST/JSON job API (wir-serve/1), executes them through the harness on a
-// bounded worker pool, and remembers every result in a disk-backed
-// content-addressed store — so any configuration that has ever been simulated,
-// by this process or a previous one, is answered without simulating again.
+// accepts machine configs and client kernels over a REST/JSON job API
+// (wir-serve/1), runs each job as one simulation on a bounded worker pool, and
+// remembers every result in a disk-backed content-addressed store — so any
+// configuration that has ever been simulated, by this process or a previous
+// one, is answered without simulating again. Figures come from wirbench -exp.
 //
 //	wirserve -addr :8177 -store /var/lib/wirserve &
 //	curl -d '{"kind":"run","bench":"KM"}' localhost:8177/v1/jobs

@@ -40,7 +40,7 @@ import (
 	"github.com/wirsim/wir/internal/trace"
 )
 
-// Exit codes (documented in docs/ROBUSTNESS.md; wirfuzz and wirdrift use the
+// Exit codes (documented in docs/ROBUSTNESS.md; wirfuzz and wirdiff use the
 // same taxonomy).
 const (
 	exitOK      = 0

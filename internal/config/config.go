@@ -157,7 +157,11 @@ type Config struct {
 	L2Ways         int
 	L2Latency      int // cycles, paper Table II
 	DRAMLatency    int // cycles
-	DRAMQueue      int // scheduling queue entries per partition
+	// DRAMQueue is Table II's per-partition scheduling queue depth. It is
+	// printed in Table II, not modelled: a partition starts its DRAM misses
+	// mem.DRAMServiceGap cycles apart, with no bound on how many wait. It
+	// stays a field because harness.ConfigHash covers it.
+	DRAMQueue int
 
 	// Reuse structures.
 	ReuseEntries     int // reuse buffer entries (paper default 256)

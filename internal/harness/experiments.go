@@ -7,8 +7,7 @@ import (
 
 // Experiment is one named, selectable evaluation artifact: a figure, table or
 // ablation from the paper. Run renders it to w, simulating (or hitting the
-// memo cache) as needed. The registry is shared by wirbench's -exp selection
-// and wirserve's sweep jobs, so both speak the same names.
+// memo cache) as needed. wirbench's -exp selects from the registry by name.
 type Experiment struct {
 	Name string
 	Run  func(h *Harness, w io.Writer) error

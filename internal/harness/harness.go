@@ -47,8 +47,8 @@ type Harness struct {
 	ReuseProf *reuseprof.Collector
 	// Exec, when non-nil, replaces the local simulation for cache misses:
 	// Run delegates each fresh (key, config) to it instead of simulating
-	// in-process. wirserve uses this to answer sweep runs from its result
-	// store; the executor is responsible for its own throughput accounting
+	// in-process. perfbench uses this to time each fresh simulation of a
+	// figure; the executor is responsible for its own throughput accounting
 	// (a delegate that ends up calling Execute on some harness updates that
 	// harness's SimCycles as usual).
 	Exec Executor
@@ -182,8 +182,8 @@ func (h *Harness) Run(abbr string, m config.Model, v *Variant) (*Result, error) 
 }
 
 // Execute performs one fresh simulation for a fully-mutated configuration,
-// bypassing the memo cache and the Exec hook. An Executor calls this when it
-// has no stored result: the cache stays with Run, the cycles are counted here.
+// bypassing the memo cache and the Exec hook. An Executor calls this to
+// simulate: the cache stays with Run, the cycles are counted here.
 func (h *Harness) Execute(key, abbr string, m config.Model, cfg config.Config) (*Result, error) {
 	return h.simulate(key, abbr, m, cfg)
 }

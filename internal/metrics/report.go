@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"github.com/wirsim/wir/internal/stats"
@@ -139,56 +138,6 @@ func ReadReport(rd io.Reader) (*Report, error) {
 		return nil, errSchema(r.Schema)
 	}
 	return &r, nil
-}
-
-// DriftViolations compares the derived metrics of two reports and returns a
-// description of each key whose relative drift from base exceeds maxRel
-// (0.15 = 15%). With no keys given it checks the CI regression pair:
-// ipc_per_sm and bypass_rate. A zero baseline with a nonzero current value
-// counts as a violation (relative drift is undefined there).
-func DriftViolations(base, cur *Report, maxRel float64, keys ...string) []string {
-	if len(keys) == 0 {
-		keys = []string{"ipc_per_sm", "bypass_rate"}
-	}
-	var out []string
-	for _, k := range keys {
-		b, okB := base.Derived[k]
-		c, okC := cur.Derived[k]
-		if !okB || !okC {
-			out = append(out, "derived metric "+k+" missing from "+missingSide(okB, okC)+" report")
-			continue
-		}
-		if b == 0 {
-			if c != 0 {
-				out = append(out, fmtDrift(k, b, c, 0, maxRel))
-			}
-			continue
-		}
-		rel := (c - b) / b
-		if rel < 0 {
-			rel = -rel
-		}
-		if rel > maxRel {
-			out = append(out, fmtDrift(k, b, c, rel, maxRel))
-		}
-	}
-	return out
-}
-
-func missingSide(okB, okC bool) string {
-	switch {
-	case !okB && !okC:
-		return "both"
-	case !okB:
-		return "baseline"
-	default:
-		return "current"
-	}
-}
-
-func fmtDrift(key string, base, cur, rel, maxRel float64) string {
-	return fmt.Sprintf("%s: baseline %.6g, current %.6g (%.1f%% drift, %.0f%% allowed)",
-		key, base, cur, 100*rel, 100*maxRel)
 }
 
 type errSchema string

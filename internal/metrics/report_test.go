@@ -2,65 +2,13 @@ package metrics
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
-func reportWith(derived map[string]float64) *Report {
-	return &Report{Schema: ReportSchema, Model: "RLPV", SMs: 2, Derived: derived}
-}
-
-func TestDriftViolationsWithinTolerance(t *testing.T) {
-	base := reportWith(map[string]float64{"ipc_per_sm": 1.0, "bypass_rate": 0.20})
-	cur := reportWith(map[string]float64{"ipc_per_sm": 1.10, "bypass_rate": 0.19})
-	if v := DriftViolations(base, cur, 0.15); len(v) != 0 {
-		t.Fatalf("unexpected violations: %v", v)
-	}
-}
-
-func TestDriftViolationsOverTolerance(t *testing.T) {
-	base := reportWith(map[string]float64{"ipc_per_sm": 1.0, "bypass_rate": 0.20})
-	cur := reportWith(map[string]float64{"ipc_per_sm": 0.80, "bypass_rate": 0.20})
-	v := DriftViolations(base, cur, 0.15)
-	if len(v) != 1 || !strings.Contains(v[0], "ipc_per_sm") {
-		t.Fatalf("want one ipc_per_sm violation, got %v", v)
-	}
-}
-
-func TestDriftViolationsMissingKey(t *testing.T) {
-	base := reportWith(map[string]float64{"ipc_per_sm": 1.0, "bypass_rate": 0.20})
-	cur := reportWith(map[string]float64{"ipc_per_sm": 1.0})
-	v := DriftViolations(base, cur, 0.15)
-	if len(v) != 1 || !strings.Contains(v[0], "bypass_rate") {
-		t.Fatalf("want one bypass_rate violation, got %v", v)
-	}
-}
-
-func TestDriftViolationsZeroBaseline(t *testing.T) {
-	base := reportWith(map[string]float64{"bypass_rate": 0})
-	cur := reportWith(map[string]float64{"bypass_rate": 0.01})
-	if v := DriftViolations(base, cur, 0.15, "bypass_rate"); len(v) != 1 {
-		t.Fatalf("zero baseline with nonzero current must violate, got %v", v)
-	}
-	same := reportWith(map[string]float64{"bypass_rate": 0})
-	if v := DriftViolations(base, same, 0.15, "bypass_rate"); len(v) != 0 {
-		t.Fatalf("zero baseline with zero current must pass, got %v", v)
-	}
-}
-
-func TestDriftViolationsCustomKeys(t *testing.T) {
-	base := reportWith(map[string]float64{"l1d_miss_rate": 0.10, "ipc_per_sm": 1.0})
-	cur := reportWith(map[string]float64{"l1d_miss_rate": 0.30, "ipc_per_sm": 0.1})
-	v := DriftViolations(base, cur, 0.15, "l1d_miss_rate")
-	if len(v) != 1 || !strings.Contains(v[0], "l1d_miss_rate") {
-		t.Fatalf("custom keys must limit comparison, got %v", v)
-	}
-}
-
 // TestReportHotspotsRoundTrip checks the hotspots section survives the
-// write/read cycle used by wirdrift and the CI artifacts.
+// write/read cycle used by served jobs and the CI artifacts.
 func TestReportHotspotsRoundTrip(t *testing.T) {
-	r := reportWith(map[string]float64{"ipc_per_sm": 1.0})
+	r := &Report{Schema: ReportSchema, Model: "RLPV", SMs: 2, Derived: map[string]float64{"ipc_per_sm": 1.0}}
 	r.Hotspots = []Hotspot{
 		{Kernel: "kmeans", PC: 14, Op: "ld.global $r7, [$r10]", Issued: 100, Cycles: 5000, EnergyPJ: 123.5, StallCycles: 40},
 		{Kernel: "kmeans", PC: 17, Op: "ld.const $r8, [$r11]", Issued: 100, Bypassed: 60, ReuseHits: 60, Cycles: 2000, StallCycles: 10},

@@ -46,10 +46,10 @@ type RunSpec struct {
 // intervals.jsonl depends on it and the store token does not cover it.
 const sampleInterval = 1000
 
-// Artifact names every run-class job produces. The set is fixed — never
-// shaped by per-request options — so a store entry is a pure function of the
-// spec and repeat submissions are hits regardless of what the client asked
-// to download.
+// Artifact names every job produces. The set is fixed — never shaped by
+// per-request options — so a store entry is a pure function of the spec and
+// repeat submissions are hits regardless of what the client asked to
+// download.
 const (
 	ArtStats     = "stats.json"
 	ArtIntervals = "intervals.jsonl"

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
-	"github.com/wirsim/wir/internal/harness"
 	"github.com/wirsim/wir/internal/metrics"
 )
 
@@ -186,23 +184,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobArtifacts returns a done job's artifact names and the payloads keep
-// selects: a sweep's output from memory, a run's from its store entry, which
-// the read verifies in full whatever it keeps.
+// selects, from its store entry, which the read verifies in full whatever it
+// keeps.
 func (s *Server) jobArtifacts(j *Job, keep func(string) bool) (map[string][]byte, []string, *APIError) {
 	j.mu.Lock()
 	state := j.state
-	sweepArts := j.artifacts
 	j.mu.Unlock()
 	if state != StateDone {
 		return nil, nil, &APIError{Error: fmt.Sprintf("job %s is %s, artifacts exist once it is done", j.ID, state), ExitCode: 2}
-	}
-	if j.sweep != nil {
-		names := make([]string, 0, len(sweepArts))
-		for n := range sweepArts {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return sweepArts, names, nil
 	}
 	arts, names, err := s.store.read(j.token, false, nil, keep)
 	if err != nil {
@@ -248,14 +237,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 
 func artifactContentType(name string) string {
 	switch name {
-	case ArtStats, ArtPerfetto, ArtReuse, ArtResult:
+	case ArtStats, ArtPerfetto, ArtReuse:
 		return "application/json"
 	case ArtIntervals, ArtTrace:
 		return "application/jsonl"
-	case ArtPprof:
-		return "application/octet-stream"
 	default:
-		return "text/plain; charset=utf-8"
+		return "application/octet-stream"
 	}
 }
 
@@ -281,7 +268,6 @@ type Status struct {
 	Jobs      map[string]int   `json:"jobs"`
 	SimCycles uint64           `json:"sim_cycles"`
 	Store     StoreStatus      `json:"store"`
-	Sweeps    []string         `json:"sweeps"`
 	Snapshot  metrics.Snapshot `json:"metrics"`
 }
 
@@ -309,9 +295,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Hits: hits, Misses: misses, Evictions: evictions, Quarantines: quarantines,
 		},
 		Snapshot: s.reg.Snapshot(),
-	}
-	for _, e := range harness.Experiments() {
-		st.Sweeps = append(st.Sweeps, e.Name)
 	}
 	s.mu.Lock()
 	st.Draining = s.draining

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +59,8 @@ type Options struct {
 	// SMs is the default machine width for jobs that do not name one
 	// (default 15, the paper's GTX480 configuration; at most maxJobSMs).
 	SMs int
-	// Workers bounds concurrent job execution (default 2).
+	// Workers bounds concurrent job execution, and so concurrent
+	// simulations: every job is one simulation (default 2).
 	Workers int
 	// QueueDepth bounds accepted-but-not-started jobs; submissions beyond it
 	// get 503 (default 256).
@@ -78,8 +78,8 @@ type Options struct {
 
 // JobRequest is the POST /v1/jobs body.
 type JobRequest struct {
-	// Kind selects the job class: "run" (suite benchmark), "kasm" (client
-	// kernel source), or "sweep" (named wirbench experiment).
+	// Kind selects the job class: "run" (suite benchmark) or "kasm" (client
+	// kernel source).
 	Kind string `json:"kind"`
 	// Bench is the suite benchmark abbreviation for run jobs.
 	Bench string `json:"bench,omitempty"`
@@ -93,9 +93,6 @@ type JobRequest struct {
 	Config *config.Config `json:"config,omitempty"`
 	// Kasm carries the kernel for kasm jobs.
 	Kasm *KasmSpec `json:"kasm,omitempty"`
-	// Sweep names the experiment for sweep jobs (see /v1/status for the
-	// list).
-	Sweep string `json:"sweep,omitempty"`
 }
 
 // KasmSpec is a client-supplied kernel: assembly source plus launch geometry.
@@ -154,17 +151,15 @@ type Job struct {
 	kind  string
 	key   string
 	token string
-	spec  *RunSpec            // run/kasm jobs
-	sweep *harness.Experiment // sweep jobs
-	reg   *metrics.Registry   // live per-job series
+	spec  *RunSpec
+	reg   *metrics.Registry // live per-job series
 
-	mu        sync.Mutex
-	state     string
-	hit       bool
-	cycles    uint64
-	artifacts map[string][]byte // sweep output; run/kasm artifacts live in the store
-	apiErr    *APIError
-	done      chan struct{}
+	mu     sync.Mutex
+	state  string
+	hit    bool
+	cycles uint64
+	apiErr *APIError
+	done   chan struct{}
 }
 
 func (j *Job) setState(s string) {
@@ -182,14 +177,7 @@ func (j *Job) View() JobView {
 		Key: j.key, Hash: j.token, Hit: j.hit, Cycles: j.cycles, Err: j.apiErr,
 	}
 	if j.state == StateDone {
-		if j.kind == "sweep" {
-			for name := range j.artifacts {
-				v.Artifacts = append(v.Artifacts, name)
-			}
-			sort.Strings(v.Artifacts)
-		} else {
-			v.Artifacts = []string{ArtIntervals, ArtPerfetto, ArtPprof, ArtReuse, ArtStats, ArtTrace}
-		}
+		v.Artifacts = []string{ArtIntervals, ArtPerfetto, ArtPprof, ArtReuse, ArtStats, ArtTrace}
 	}
 	return v
 }
@@ -200,7 +188,6 @@ type Server struct {
 	opts  Options
 	store *Store
 	reg   *metrics.Registry // server-wide /metrics registry
-	h     *harness.Harness  // sweep harness (its memo cache dedups in-process)
 	mux   http.Handler
 
 	mu       sync.Mutex
@@ -213,7 +200,7 @@ type Server struct {
 	drained  chan struct{} // closed when Drain completes
 
 	running   atomic.Int64
-	simCycles atomic.Uint64 // fresh cycles from run/kasm jobs
+	simCycles atomic.Uint64 // cycles of fresh simulations
 
 	queue chan *Job
 	stop  chan struct{}
@@ -247,16 +234,12 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		store:    store,
 		reg:      metrics.NewRegistry(),
-		h:        harness.New(),
 		jobs:     map[string]*Job{},
 		inflight: map[string]chan struct{}{},
 		drained:  make(chan struct{}),
 		queue:    make(chan *Job, opts.QueueDepth),
 		stop:     make(chan struct{}),
 	}
-	s.h.SMs = opts.SMs
-	s.h.SetParallelism(opts.Workers)
-	s.h.Exec = s.sweepExec
 	s.mux = s.buildMux()
 	s.recoverQueue()
 	for i := 0; i < opts.Workers; i++ {
@@ -277,12 +260,9 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // SimCycles returns the total fresh simulated cycles this process has spent
-// on behalf of jobs (run/kasm executions plus sweep harness work). Store and
-// memo hits contribute nothing — the conformance suite pins repeat
-// submissions to a delta of exactly zero.
-func (s *Server) SimCycles() uint64 {
-	return s.simCycles.Load() + s.h.SimCycles()
-}
+// on behalf of jobs. Store hits contribute nothing — the conformance suite
+// pins repeat submissions to a delta of exactly zero.
+func (s *Server) SimCycles() uint64 { return s.simCycles.Load() }
 
 // Store exposes the result store (tests and the status endpoint).
 func (s *Server) Store() *Store { return s.store }
@@ -454,15 +434,8 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 				}
 				return &bench.Workload{Launches: []gpu.Launch{launch}}, nil
 			}}
-	case "sweep":
-		exp, err := harness.ExperimentByName(req.Sweep)
-		if err != nil {
-			return nil, usage("%v", err)
-		}
-		j.key = "sweep/" + exp.Name
-		j.sweep = exp
 	default:
-		return nil, usage("unknown job kind %q (want run, kasm, or sweep)", req.Kind)
+		return nil, usage("unknown job kind %q (want run or kasm)", req.Kind)
 	}
 	return j, nil
 }
@@ -561,12 +534,7 @@ func (s *Server) runJob(j *Job) {
 	s.running.Add(1)
 	s.refreshMetrics()
 
-	var err error
-	if j.sweep != nil {
-		err = s.runSweep(j)
-	} else {
-		err = s.runSim(j)
-	}
+	err := s.runSim(j)
 
 	// Forget the oldest finished job before this one reads as finished, so a
 	// client that sees it finish also sees the cap hold.
@@ -604,8 +572,8 @@ func (s *Server) runJob(j *Job) {
 	s.refreshMetrics()
 }
 
-// runSim answers a run/kasm job: store hit, or single-flighted fresh
-// execution whose artifact bundle is persisted for every future submission.
+// runSim answers a job: store hit, or single-flighted fresh execution whose
+// artifact bundle is persisted for every future submission.
 func (s *Server) runSim(j *Job) error {
 	for {
 		if arts, err := s.store.Get(j.token, ArtStats); err == nil {
@@ -654,48 +622,6 @@ func (s *Server) finishSim(j *Job, arts map[string][]byte, hit bool, cycles uint
 	j.mu.Unlock()
 	return nil
 }
-
-// runSweep renders a named experiment through the shared sweep harness. Each
-// underlying simulation flows through sweepExec: store hit, else in-process
-// execution; fresh results are persisted, so re-running a figure after a
-// restart is all hits.
-func (s *Server) runSweep(j *Job) error {
-	var buf bytes.Buffer
-	err := j.sweep.Run(s.h, &buf)
-	j.mu.Lock()
-	j.artifacts = map[string][]byte{"sweep.txt": buf.Bytes()}
-	j.mu.Unlock()
-	return err
-}
-
-// sweepExec is the sweep harness's Executor: the store-then-local chain for
-// one fully mutated config.
-func (s *Server) sweepExec(key, abbr string, m config.Model, cfg config.Config) (*harness.Result, error) {
-	// A run job with the same config has the same key, and its token is the
-	// key's hash (its stats report's config_hash). The unit stores another
-	// artifact, so it hashes the key under a prefix of its own: the two
-	// entries must not replace each other.
-	token := harness.KeyHash("sweep-unit:" + key)
-	if arts, err := s.store.Get(token, ArtResult); err == nil {
-		var r harness.Result
-		if json.Unmarshal(arts[ArtResult], &r) == nil {
-			return &r, nil
-		}
-	}
-	r, err := s.h.Execute(key, abbr, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if rb, err := json.Marshal(r); err == nil {
-		if perr := s.store.Put(token, map[string][]byte{ArtResult: rb}); perr != nil {
-			s.logf("serve: store put %s: %v", token, perr)
-		}
-	}
-	return r, nil
-}
-
-// ArtResult is the store artifact name for sweep-unit harness results.
-const ArtResult = "result.json"
 
 // refreshMetrics republishes the derived server gauges. Called after every
 // state change and before every /metrics render.

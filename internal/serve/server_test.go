@@ -121,7 +121,8 @@ func submitRejections(tb testing.TB) []rejection {
 		{"missing-kasm", `{"kind":"kasm"}`, "kasm section", 0},
 		{"bad-kasm", `{"kind":"kasm","kasm":{"source":"frob r0\nexit"}}`, "line 1", 0},
 		{"kasm-no-exit", `{"kind":"kasm","kasm":{"source":"movi r0, #1"}}`, "must end with Exit", 0},
-		{"unknown-sweep", `{"kind":"sweep","sweep":"fig99"}`, "unknown experiment", 0},
+		// No job kind takes a sweep field; figures come from wirbench -exp.
+		{"unknown-sweep", `{"kind":"sweep","sweep":"fig99"}`, "unknown field", 0},
 		{"config-typo", `{"kind":"run","bench":"KM","config":{"NumSMss":4}}`, "unknown field", 0},
 		{"config-invalid", `{"kind":"run","bench":"KM","config":{"NumSMs":1}}`, "config", 0},
 		{"oversize-body", `{"kind":"run","bench":"` + strings.Repeat("A", maxSubmitBytes) + `"}`,
@@ -187,8 +188,8 @@ func TestSubmitRejections(t *testing.T) {
 // decode and resolve. It never enqueues or simulates what they accept: a
 // fuzzer that built GPUs from the configs it accepts could exhaust the
 // machine. Nothing may panic, every rejection must be a usage error with a
-// 400 or 413, and every accepted run or kasm job must carry a well-formed
-// token and a valid config within the job SM limit.
+// 400 or 413, and every accepted job must carry a well-formed token and a
+// valid config within the job SM limit.
 func FuzzJobRequest(f *testing.F) {
 	for _, c := range submitRejections(f) {
 		f.Add([]byte(c.body))
@@ -204,9 +205,6 @@ func FuzzJobRequest(f *testing.F) {
 			if apiErr.ExitCode != 2 || (status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge) {
 				t.Fatalf("rejection is not a usage error: status %d, %+v", status, apiErr)
 			}
-			return
-		}
-		if j.sweep != nil {
 			return
 		}
 		if !ValidToken(j.token) {
@@ -412,45 +410,16 @@ func TestDrainPersistsQueue(t *testing.T) {
 	}
 }
 
-// TestSweepJobStatic drives the sweep-job plumbing with a static experiment
-// (table2 simulates nothing), so the API path is covered without a
-// full-suite simulation.
-func TestSweepJobStatic(t *testing.T) {
-	s, ts := newTestServer(t, nil)
-	_, data := postJob(t, ts, `{"kind":"sweep","sweep":"table2"}`)
-	var v JobView
-	if err := json.Unmarshal(data, &v); err != nil {
-		t.Fatalf("submit: %v (%s)", err, data)
-	}
-	done := waitJob(t, ts, v.ID)
-	if done.State != StateDone {
-		t.Fatalf("sweep: %+v", done)
-	}
-	if got := []string{"sweep.txt"}; len(done.Artifacts) != 1 || done.Artifacts[0] != got[0] {
-		t.Fatalf("sweep artifacts %v, want %v", done.Artifacts, got)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/artifacts/sweep.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(bytes.TrimSpace(text)) == 0 {
-		t.Fatal("empty sweep artifact")
-	}
-	if got := s.SimCycles(); got != 0 {
-		t.Fatalf("static sweep simulated %d cycles", got)
-	}
-}
-
 // TestFinishedJobsBounded: once more than maxFinishedJobs jobs have
 // finished, the oldest is forgotten, so its id answers 404 with exit_code 2
-// while the newest stays listed.
+// while the newest stays listed. The first job simulates; the rest are store
+// hits.
 func TestFinishedJobsBounded(t *testing.T) {
 	s, ts := newTestServer(t, nil)
+	req := JobRequest{Kind: "kasm", SMs: 1, Kasm: &KasmSpec{Name: "tiny", Source: tinyKasm, DimX: 32, GlobalWords: 64}}
 	var first, last string
 	for i := 0; i <= maxFinishedJobs; i++ {
-		j, apiErr := s.submit(JobRequest{Kind: "sweep", Sweep: "table2"})
+		j, apiErr := s.submit(req)
 		if apiErr != nil {
 			t.Fatalf("submit %d: %s", i, apiErr.Error)
 		}
@@ -471,72 +440,24 @@ func TestFinishedJobsBounded(t *testing.T) {
 	}
 }
 
-// TestSweepExecStore exercises the sweep executor chain directly: a fresh
-// harness demand misses the store and simulates; a second server — cold memo
-// cache, same store directory — satisfies the identical demand from disk with
-// zero fresh cycles and an identical result.
-func TestSweepExecStore(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Drain()
-	r1, err := s1.h.Run("DW", config.RLPV, nil)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	if s1.SimCycles() == 0 {
-		t.Fatal("first run simulated nothing")
-	}
-	if s1.Store().Entries() != 1 {
-		t.Fatalf("store has %d entries, want 1", s1.Store().Entries())
-	}
-
-	s2, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Drain()
-	r2, err := s2.h.Run("DW", config.RLPV, nil)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if got := s2.SimCycles(); got != 0 {
-		t.Fatalf("second server simulated %d fresh cycles, want 0 (store miss)", got)
-	}
-	j1, _ := json.Marshal(r1)
-	j2, _ := json.Marshal(r2)
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("store round-trip changed the result:\n%s\n---\n%s", j1, j2)
-	}
-}
-
-// TestRunJobAndSweepUnitKeepSeparateEntries: a run job whose config equals a
-// sweep unit's has the same cache key. In either order, neither may answer
-// from or overwrite the other's store entry. A run entry that holds only a
-// sweep result, as older servers wrote them, is a miss rather than a hit
-// without stats.json.
+// TestRunJobAndSweepUnitKeepSeparateEntries: older servers, which also ran
+// sweep jobs, could store a sweep unit's harness result as the only artifact
+// of an entry under a run job's token. Such an entry is a miss rather than a
+// hit without stats.json: the job re-simulates and serves its stats.
 func TestRunJobAndSweepUnitKeepSeparateEntries(t *testing.T) {
-	cfg := config.Default(config.RLPV)
-	cfg.NumSMs = 1 // the test server's sweep harness width
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runJob := `{"kind":"run","bench":"DW","config":` + string(b) + `}`
-	runToken := harness.KeyHash(harness.RunKey("DW", config.RLPV, nil, &cfg))
-	sweepUnit := func(t *testing.T, s *Server) {
-		t.Helper()
-		if _, err := s.h.Run("DW", config.RLPV, nil); err != nil {
-			t.Fatalf("sweep unit: %v", err)
+	t.Run("old-sweep-entry", func(t *testing.T) {
+		cfg := config.Default(config.RLPV)
+		cfg.NumSMs = 1
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// run submits the run job and requires it done, with the given hit flag,
-	// a cycle count and a downloadable stats.json.
-	run := func(t *testing.T, ts *httptest.Server, wantHit bool) {
-		t.Helper()
-		_, data := postJob(t, ts, runJob)
+		runToken := harness.KeyHash(harness.RunKey("DW", config.RLPV, nil, &cfg))
+		s, ts := newTestServer(t, nil)
+		if err := s.Store().Put(runToken, map[string][]byte{"result.json": []byte("{}")}); err != nil {
+			t.Fatal(err)
+		}
+		_, data := postJob(t, ts, `{"kind":"run","bench":"DW","config":`+string(b)+`}`)
 		var v JobView
 		if err := json.Unmarshal(data, &v); err != nil {
 			t.Fatalf("submit: %v (%s)", err, data)
@@ -545,9 +466,9 @@ func TestRunJobAndSweepUnitKeepSeparateEntries(t *testing.T) {
 			t.Fatalf("run job token %s, want %s", v.Hash, runToken)
 		}
 		done := waitJob(t, ts, v.ID)
-		if done.State != StateDone || done.Hit != wantHit || done.Cycles == 0 {
-			t.Fatalf("run job: state=%s hit=%v cycles=%d; want done, hit=%v, cycles > 0",
-				done.State, done.Hit, done.Cycles, wantHit)
+		if done.State != StateDone || done.Hit || done.Cycles == 0 {
+			t.Fatalf("run job: state=%s hit=%v cycles=%d; want done, a miss, cycles > 0",
+				done.State, done.Hit, done.Cycles)
 		}
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/artifacts/" + ArtStats)
 		if err != nil {
@@ -558,36 +479,46 @@ func TestRunJobAndSweepUnitKeepSeparateEntries(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("stats.json download: status %d: %s", resp.StatusCode, body)
 		}
+	})
+}
+
+// TestStatus submits one kernel twice and reads GET /v1/status: two done
+// jobs, one store miss that simulated and one hit, and the server's own
+// cycle count.
+func TestStatus(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for i := 0; i < 2; i++ {
+		_, data := postJob(t, ts, tinyKasmJob("tiny"))
+		var v JobView
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatalf("submit: %v (%s)", err, data)
+		}
+		if done := waitJob(t, ts, v.ID); done.State != StateDone {
+			t.Fatalf("job %d: %+v", i, done)
+		}
 	}
-	t.Run("sweep-unit-first", func(t *testing.T) {
-		dir := t.TempDir()
-		s, ts := newTestServer(t, func(o *Options) { o.StoreDir = dir })
-		sweepUnit(t, s)
-		run(t, ts, false)
-		// A second server, cold memo cache, still finds the unit's result.
-		s2, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s2.Drain()
-		sweepUnit(t, s2)
-		if got := s2.SimCycles(); got != 0 {
-			t.Fatalf("sweep unit re-simulated %d cycles: the run job replaced its entry", got)
-		}
-	})
-	t.Run("run-job-first", func(t *testing.T) {
-		s, ts := newTestServer(t, nil)
-		run(t, ts, false)
-		sweepUnit(t, s)
-		run(t, ts, true)
-	})
-	t.Run("old-sweep-entry", func(t *testing.T) {
-		s, ts := newTestServer(t, nil)
-		if err := s.Store().Put(runToken, map[string][]byte{ArtResult: []byte("{}")}); err != nil {
-			t.Fatal(err)
-		}
-		run(t, ts, false)
-	})
+	var raw map[string]json.RawMessage
+	getJSON(t, ts.URL+"/v1/status", &raw)
+	if _, ok := raw["sweeps"]; ok {
+		t.Errorf("status still lists sweeps: %s", raw["sweeps"])
+	}
+	var st Status
+	getJSON(t, ts.URL+"/v1/status", &st)
+	if st.Schema != Schema {
+		t.Errorf("schema %q, want %q", st.Schema, Schema)
+	}
+	if len(st.Jobs) != 1 || st.Jobs[StateDone] != 2 {
+		t.Errorf("jobs %v, want {done:2}", st.Jobs)
+	}
+	if st.Store.Hits != 1 || st.Store.Misses != 1 || st.Store.Entries != 1 {
+		t.Errorf("store hits=%d misses=%d entries=%d, want 1 each", st.Store.Hits, st.Store.Misses, st.Store.Entries)
+	}
+	if st.SimCycles == 0 || st.SimCycles != s.SimCycles() {
+		t.Errorf("sim_cycles %d, want SimCycles() %d and above 0", st.SimCycles, s.SimCycles())
+	}
+	if got := st.Snapshot.Counters["wirserve_store_hits"]; got != 1 {
+		t.Errorf("metrics wirserve_store_hits %d, want 1", got)
+	}
 }
 
 // corruptSection flips one payload byte of the named section of a store

@@ -1,8 +1,10 @@
 // Package serve implements wirserve, the simulation-as-a-service daemon: a
-// REST/JSON job API (wir-serve/1) over the simulator, a bounded worker pool,
-// and a disk-backed content-addressed result store keyed by the harness cache
-// key hash, so a config that has ever been simulated — by this process or a
-// previous one — is never simulated again.
+// REST/JSON job API (wir-serve/1) in which every job is one simulation, a
+// bounded worker pool, and a disk-backed content-addressed result store. A
+// job's six artifacts are one store entry under its token, the harness cache
+// key hash that is also its stats report's config_hash, so a config that has
+// ever been simulated — by this process or a previous one — is never
+// simulated again.
 package serve
 
 import (

@@ -66,6 +66,10 @@ func fromJSONEvent(je jsonEvent) (Event, error) {
 		return e, fmt.Errorf("trace: unknown event kind %q", je.Kind)
 	}
 	if je.Result != "" {
+		// Only retire events carry a result; the writer drops any other.
+		if e.Kind != KindRetire {
+			return e, fmt.Errorf("trace: %s event has a result", je.Kind)
+		}
 		r, err := strconv.ParseUint(je.Result, 16, 64)
 		if err != nil {
 			return e, fmt.Errorf("trace: bad result %q: %w", je.Result, err)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,14 +40,16 @@ func TestJSONWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// oldFormatJSONL is a stream exactly as an older writer would emit it: no
+// kernel key.
+const oldFormatJSONL = `{"schema":"wir-trace/1"}` + "\n" +
+	`{"kind":"issue","cycle":1,"sm":0,"warp":2,"pc":3,"seq":1,"op":"iadd"}` + "\n"
+
 // TestJSONKernelFieldIsOptional checks the wir-trace/1 compatibility rule:
 // the kernel field is additive. Events without it (as written by older
 // producers) still parse, and events that omit it don't serialize the key.
 func TestJSONKernelFieldIsOptional(t *testing.T) {
-	// A stream exactly as an older writer would emit it: no kernel key.
-	old := `{"schema":"wir-trace/1"}` + "\n" +
-		`{"kind":"issue","cycle":1,"sm":0,"warp":2,"pc":3,"seq":1,"op":"iadd"}` + "\n"
-	got, err := ReadJSONL(strings.NewReader(old))
+	got, err := ReadJSONL(strings.NewReader(oldFormatJSONL))
 	if err != nil {
 		t.Fatalf("old-format line rejected: %v", err)
 	}
@@ -81,21 +84,61 @@ func TestJSONWriterFilters(t *testing.T) {
 	}
 }
 
+// badJSONL lists streams the reader must reject, by what is wrong with them.
+var badJSONL = []struct{ what, in string }{
+	{"wrong schema", `{"schema":"wrong/1"}` + "\n"},
+	{"empty stream", ""},
+	{"unknown kind", `{"schema":"wir-trace/1"}` + "\n" + `{"kind":"flarp"}` + "\n"},
+	{"malformed result", `{"schema":"wir-trace/1"}` + "\n" + `{"kind":"retire","result":"zzzz"}` + "\n"},
+	// The writer puts a result only on retire events, so one elsewhere
+	// would be dropped by re-encoding.
+	{"result on an issue event", `{"schema":"wir-trace/1"}` + "\n" + `{"kind":"issue","result":"0000000000000001"}` + "\n"},
+}
+
 func TestReadJSONLRejectsBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader(`{"schema":"wrong/1"}` + "\n")); err == nil {
-		t.Fatal("wrong schema accepted")
+	for _, c := range badJSONL {
+		if _, err := ReadJSONL(strings.NewReader(c.in)); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
 	}
-	if _, err := ReadJSONL(strings.NewReader("")); err == nil {
-		t.Fatal("empty stream accepted")
+}
+
+// FuzzReadJSONL feeds arbitrary streams to the wir-trace/1 reader behind
+// wirdiff -ja and wirtrace. Nothing may panic, and every stream it accepts
+// must re-encode through JSONWriter to a stream that reads back as the same
+// events: the reader accepts nothing the writer cannot say.
+func FuzzReadJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	jw := NewJSONWriter(&buf)
+	jw.Emit(Event{Kind: KindIssue, Cycle: 1, Warp: 2, PC: 3, Seq: 1, Op: "iadd", Launch: 1, Block: 4, Kernel: "kmeans"})
+	jw.Emit(Event{Kind: KindRetire, Cycle: 9, Warp: 2, PC: 3, Seq: 1, Op: "iadd", Launch: 1, Block: 4, Result: 0xDEADBEEF12345678})
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"schema":"wir-trace/1"}` + "\n"))
+	for _, c := range badJSONL {
+		f.Add([]byte(c.in))
 	}
-	bad := `{"schema":"wir-trace/1"}` + "\n" + `{"kind":"flarp"}` + "\n"
-	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	bad = `{"schema":"wir-trace/1"}` + "\n" + `{"kind":"retire","result":"zzzz"}` + "\n"
-	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
-		t.Fatal("malformed result accepted")
-	}
+	f.Add([]byte(oldFormatJSONL))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		jw := NewJSONWriter(&out)
+		for _, e := range events {
+			jw.Emit(e)
+		}
+		if err := jw.Err(); err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		again, err := ReadJSONL(&out)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v\n%s", err, out.Bytes())
+		}
+		if !slices.Equal(events, again) {
+			t.Fatalf("re-encoding changed the events:\n%+v\n%+v", events, again)
+		}
+	})
 }
 
 func TestReadRetireRecorder(t *testing.T) {

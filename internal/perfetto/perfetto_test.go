@@ -1,4 +1,4 @@
-package perfetto
+package perfetto_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wirsim/wir/internal/perfetto"
 	"github.com/wirsim/wir/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func sampleEvents() []trace.Event {
 // fields.
 func TestWriteIsEventArray(t *testing.T) {
 	var bb bytes.Buffer
-	if err := Write(&bb, sampleEvents()); err != nil {
+	if err := perfetto.Write(&bb, sampleEvents()); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	var arr []map[string]any
@@ -53,11 +54,33 @@ func TestWriteIsEventArray(t *testing.T) {
 	}
 }
 
+// writtenEvent is the part of a written trace event the tests below read.
+type writtenEvent struct {
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	ID    string         `json:"id"`
+	Scope string         `json:"s"`
+	Args  map[string]any `json:"args"`
+}
+
+// written converts events, writes them, and decodes what was written.
+func written(t *testing.T, events []trace.Event) []writtenEvent {
+	t.Helper()
+	var bb bytes.Buffer
+	if err := perfetto.WriteEvents(&bb, perfetto.Convert(events)); err != nil {
+		t.Fatalf("WriteEvents: %v", err)
+	}
+	var out []writtenEvent
+	if err := json.Unmarshal(bb.Bytes(), &out); err != nil {
+		t.Fatalf("written events do not decode: %v\n%s", err, bb.String())
+	}
+	return out
+}
+
 func TestConvertPairsSlices(t *testing.T) {
-	tevs := Convert(sampleEvents())
 	begins := map[string]int{}
 	ends := map[string]int{}
-	for _, te := range tevs {
+	for _, te := range written(t, sampleEvents()) {
 		switch te.Phase {
 		case "b":
 			if te.ID == "" {
@@ -86,9 +109,8 @@ func TestConvertPairsSlices(t *testing.T) {
 }
 
 func TestConvertMetadataAndInstants(t *testing.T) {
-	tevs := Convert(sampleEvents())
 	var procs, threads, instants, procInstants int
-	for _, te := range tevs {
+	for _, te := range written(t, sampleEvents()) {
 		switch {
 		case te.Phase == "M" && te.Name == "process_name":
 			procs++
@@ -115,9 +137,8 @@ func TestConvertMetadataAndInstants(t *testing.T) {
 }
 
 func TestIssueArgsCarryKernel(t *testing.T) {
-	tevs := Convert(sampleEvents())
 	found := false
-	for _, te := range tevs {
+	for _, te := range written(t, sampleEvents()) {
 		if te.Phase == "b" && strings.HasPrefix(te.Name, "mul") {
 			found = true
 			if te.Args["kernel"] != "km_scale" {
@@ -132,7 +153,7 @@ func TestIssueArgsCarryKernel(t *testing.T) {
 
 func TestWriteEmpty(t *testing.T) {
 	var bb bytes.Buffer
-	if err := Write(&bb, nil); err != nil {
+	if err := perfetto.Write(&bb, nil); err != nil {
 		t.Fatalf("Write(nil): %v", err)
 	}
 	var arr []map[string]any

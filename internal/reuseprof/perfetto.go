@@ -2,6 +2,7 @@ package reuseprof
 
 import (
 	"github.com/wirsim/wir/internal/perfetto"
+	"github.com/wirsim/wir/internal/trace"
 )
 
 // PerfettoCounters renders the per-SM rolling series as Chrome trace-event
@@ -13,26 +14,26 @@ func (c *Collector) PerfettoCounters() []perfetto.TraceEvent {
 	if c == nil {
 		return nil
 	}
-	var out []perfetto.TraceEvent
+	n := 0
+	for _, s := range c.sms {
+		n += len(s.Series)
+	}
+	at := make([]trace.Event, 0, n) // each sample's cycle and SM
+	out := make([]perfetto.TraceEvent, 0, 2*n)
 	for _, s := range c.sms {
 		var prevLookups, prevHits uint64
 		for _, p := range s.Series {
-			out = append(out, perfetto.TraceEvent{
-				Name: "reuse occupancy", Cat: "wir", Phase: "C",
-				TS: p.Cycle, PID: s.ID,
-				Args: map[string]any{"entries": p.Occ},
-			})
+			at = append(at, trace.Event{Cycle: p.Cycle, SM: s.ID})
+			src := &at[len(at)-1]
 			dl := p.Lookups - prevLookups
 			dh := p.Hits - prevHits
 			rate := 0.0
 			if dl > 0 {
 				rate = float64(dh) / float64(dl)
 			}
-			out = append(out, perfetto.TraceEvent{
-				Name: "reuse hit rate", Cat: "wir", Phase: "C",
-				TS: p.Cycle, PID: s.ID,
-				Args: map[string]any{"rate": rate},
-			})
+			out = append(out,
+				perfetto.TraceEvent{Phase: 'C', Src: src, Name: "reuse occupancy", Key: "entries", Value: float64(p.Occ)},
+				perfetto.TraceEvent{Phase: 'C', Src: src, Name: "reuse hit rate", Key: "rate", Value: rate})
 			prevLookups, prevHits = p.Lookups, p.Hits
 		}
 	}

@@ -338,12 +338,15 @@ func (s *Server) recoverQueue() {
 		s.logf("serve: ignoring unreadable %s: %v", queueFile, err)
 		return
 	}
+	n := 0
 	for i := range pq.Jobs {
 		if _, apiErr := s.submit(pq.Jobs[i]); apiErr != nil {
 			s.logf("serve: dropping persisted job %d: %s", i, apiErr.Error)
+			continue
 		}
+		n++
 	}
-	if n := len(pq.Jobs); n > 0 {
+	if n > 0 {
 		s.logf("serve: recovered %d persisted jobs", n)
 	}
 }

@@ -8,7 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -407,6 +410,44 @@ func TestDrainPersistsQueue(t *testing.T) {
 	getJSON(t, ts2.URL+"/v1/jobs/"+views[0].ID+"/artifacts", &names)
 	if len(names) != 6 {
 		t.Fatalf("recovered job artifacts: %v", names)
+	}
+}
+
+// TestRecoverQueueCountsAccepted: a persisted queue holding a job this
+// server refuses (the sweep kind older servers ran) and a kasm job recovers
+// one job, and the log line counts that one, not the file's two.
+func TestRecoverQueueCountsAccepted(t *testing.T) {
+	dir := t.TempDir()
+	queue := fmt.Sprintf(`{"schema":%q,"jobs":[{"kind":"sweep","sweep":{"exp":"headline"}},%s]}`, QueueSchema, tinyKasmJob("queued"))
+	if err := os.WriteFile(filepath.Join(dir, queueFile), []byte(queue), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	s, err := New(Options{SMs: 1, Workers: 1, StoreDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var views []JobView
+	getJSON(t, ts.URL+"/v1/jobs", &views)
+	if len(views) != 1 {
+		t.Fatalf("GET /v1/jobs lists %d jobs, want 1: %+v", len(views), views)
+	}
+	if v := waitJob(t, ts, views[0].ID); v.State != StateDone {
+		t.Fatalf("recovered job: %+v, want done", v)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Contains(logs, "serve: recovered 1 persisted jobs") {
+		t.Fatalf("log lines %q, want one recovering 1 job", logs)
 	}
 }
 

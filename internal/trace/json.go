@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"unicode/utf8"
 )
 
 // JSONSchema identifies the JSONL trace format; bump on any incompatible
@@ -33,19 +34,6 @@ type jsonEvent struct {
 	// Kernel is optional (added after wir-trace/1 shipped, omitted when
 	// empty) so old readers and old recorded streams stay compatible.
 	Kernel string `json:"kernel,omitempty"`
-}
-
-func toJSONEvent(e Event) jsonEvent {
-	je := jsonEvent{
-		Kind: e.Kind.String(), Cycle: e.Cycle, SM: e.SM, Warp: e.Warp,
-		PC: e.PC, Seq: e.Seq, Op: e.Op,
-		Launch: e.Launch, Block: e.Block, WarpInBlock: e.WarpInBlock,
-		Kernel: e.Kernel,
-	}
-	if e.Kind == KindRetire {
-		je.Result = fmt.Sprintf("%016x", e.Result)
-	}
-	return je
 }
 
 func fromJSONEvent(je jsonEvent) (Event, error) {
@@ -81,8 +69,11 @@ func fromJSONEvent(je jsonEvent) (Event, error) {
 
 // JSONWriter streams events as JSON lines behind a schema header, optionally
 // filtered by kind, SM, and warp. The zero filter values pass everything.
+// Each line is byte for byte what encoding/json writes for a jsonEvent, and
+// goes out in one Write.
 type JSONWriter struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte // the line being encoded, reused across events
 	err error
 	n   int
 
@@ -95,8 +86,8 @@ type JSONWriter struct {
 // NewJSONWriter returns a JSONL sink writing to w, with the schema header
 // already emitted and no filtering.
 func NewJSONWriter(w io.Writer) *JSONWriter {
-	jw := &JSONWriter{enc: json.NewEncoder(w), SM: -1, Warp: -1}
-	jw.err = jw.enc.Encode(jsonHeader{Schema: JSONSchema})
+	jw := &JSONWriter{w: w, SM: -1, Warp: -1}
+	_, jw.err = io.WriteString(w, `{"schema":"`+JSONSchema+`"}`+"\n")
 	return jw
 }
 
@@ -123,8 +114,62 @@ func (jw *JSONWriter) Emit(e Event) {
 	if jw.Warp >= 0 && e.Warp != jw.Warp {
 		return
 	}
-	jw.err = jw.enc.Encode(toJSONEvent(e))
+	b := append(jw.buf[:0], `{"kind":`...)
+	b = AppendJSONString(b, e.Kind.String())
+	b = append(b, `,"cycle":`...)
+	b = strconv.AppendUint(b, e.Cycle, 10)
+	b = append(b, `,"sm":`...)
+	b = strconv.AppendInt(b, int64(e.SM), 10)
+	b = append(b, `,"warp":`...)
+	b = strconv.AppendInt(b, int64(e.Warp), 10)
+	b = append(b, `,"pc":`...)
+	b = strconv.AppendInt(b, int64(e.PC), 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, e.Seq, 10)
+	b = append(b, `,"op":`...)
+	b = AppendJSONString(b, e.Op)
+	b = append(b, `,"launch":`...)
+	b = strconv.AppendInt(b, int64(e.Launch), 10)
+	b = append(b, `,"block":`...)
+	b = strconv.AppendInt(b, int64(e.Block), 10)
+	b = append(b, `,"wib":`...)
+	b = strconv.AppendInt(b, int64(e.WarpInBlock), 10)
+	if e.Kind == KindRetire {
+		// Sixteen lower-case hex digits, as %016x formats it.
+		b = append(b, `,"result":"`...)
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, hexDigits[e.Result>>shift&0xf])
+		}
+		b = append(b, '"')
+	}
+	if e.Kernel != "" {
+		b = append(b, `,"kernel":`...)
+		b = AppendJSONString(b, e.Kernel)
+	}
+	b = append(b, "}\n"...)
+	jw.buf = b
+	_, jw.err = jw.w.Write(b)
 	jw.n++
+}
+
+const hexDigits = "0123456789abcdef"
+
+// AppendJSONString appends s to b as a JSON string, byte for byte as
+// encoding/json writes it. Plain ASCII is copied as is. A string holding any
+// byte encoding/json would escape (a quote, a backslash, a control byte, the
+// HTML-sensitive <, > and &, or any byte of a multi-byte or invalid UTF-8
+// sequence, which covers U+2028, U+2029 and the replacement of bad bytes)
+// goes through json.Marshal instead: kernel names are client text.
+func AppendJSONString[S string | []byte](b []byte, s S) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(string(s)) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Count returns how many events were written.

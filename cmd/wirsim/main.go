@@ -5,7 +5,7 @@
 //
 //	wirsim [-sms N] [-model RLPV] [-dense] [-list] [-interval N] [-metrics FILE]
 //	       [-stats text|json] [-trace-json FILE] [-serve :addr]
-//	       [-pprof FILE] [-hostprof FILE] [-hostprof-json FILE]
+//	       [-pprof FILE] [-hostprof FILE]
 //	       [-reuseprof] [-reuseprof-json FILE]
 //	       [-perfetto FILE] [-hotspots N]
 //	       [-oracle] [-watchdog N] [-audit] [-chaos seed,rate,kinds] <benchmark-abbr>
@@ -62,7 +62,6 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live /metrics (Prometheus text) and /debug/pprof on this address while running")
 	pprofOut := flag.String("pprof", "", "write a per-PC attribution profile (gzip'd pprof) of simulated cycles/energy to this file")
 	hostprofOut := flag.String("hostprof", "", "write a host profile (gzip'd pprof) of real simulator wall time per simulation phase to this file")
-	hostprofJSON := flag.String("hostprof-json", "", "write the wir-hostprof/1 report (phase timings, allocation, quiescence/skip-opportunity) to this file")
 	reuseprofFlag := flag.Bool("reuseprof", false, "attach the decision-level reuse profiler and print a miss-taxonomy/headroom summary")
 	reuseprofJSON := flag.String("reuseprof-json", "", "write the wir-reuse/1 report (miss taxonomy, eviction ledger, shadow headroom) to this file")
 	perfettoOut := flag.String("perfetto", "", "write the pipeline trace as Perfetto/Chrome trace-event JSON to this file")
@@ -142,10 +141,10 @@ func main() {
 	}
 
 	// The host profiler watches the simulator itself (real wall time per
-	// simulation phase, allocation, quiescence). Opt-in like the rest of the
-	// telemetry; with neither flag set the SMs keep the unprofiled Tick.
+	// simulation phase). Opt-in like the rest of the telemetry; without it
+	// the SMs' timer calls are nil checks.
 	var hostCollector *hostprof.Collector
-	if *hostprofOut != "" || *hostprofJSON != "" {
+	if *hostprofOut != "" {
 		hostCollector = g.NewHostProf()
 		g.SetHostProf(hostCollector)
 	}
@@ -290,15 +289,6 @@ func main() {
 		fatal(f.Close())
 		fmt.Fprintf(os.Stderr, "wirsim: wrote host profile to %s (view: go tool pprof -http=: %s)\n",
 			*hostprofOut, *hostprofOut)
-	}
-	if *hostprofJSON != "" {
-		rep := hostCollector.Report()
-		f, err := os.Create(*hostprofJSON)
-		fatal(err)
-		fatal(rep.WriteJSON(f))
-		fatal(f.Close())
-		fmt.Fprintf(os.Stderr, "wirsim: wrote %s report to %s (skip-opportunity %.1f%%)\n",
-			hostprof.Schema, *hostprofJSON, 100*rep.Quiescence.SkipOpportunity)
 	}
 	if *perfettoOut != "" {
 		f, err := os.Create(*perfettoOut)

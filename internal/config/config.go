@@ -213,11 +213,12 @@ func Default(m Model) Config {
 }
 
 // Upper bounds Validate puts on every field that sizes an allocation or
-// enters a product. Each sits far above every value an experiment uses (the
-// largest today are 512 reuse-buffer entries in Fig. 21 and a 64-entry
-// pending queue in the pending-queue ablation), and together they bound what
-// gpu.New allocates for an accepted config. They are checked before any
-// product of fields, so no later check can overflow.
+// enters a product, and on the cache tag lines those fields multiply out to.
+// Each sits far above every value an experiment uses (the largest today are
+// 512 reuse-buffer entries in Fig. 21 and a 64-entry pending queue in the
+// pending-queue ablation), and together they bound what gpu.New allocates
+// for an accepted config. The field caps are checked before any product of
+// fields, so no later check can overflow.
 const (
 	// MaxCount bounds NumSMs, SchedulersPerSM, WarpsPerSM, BlocksPerSM,
 	// RFBankGroups, L1DWays, L2Ways and L2Partitions.
@@ -232,7 +233,25 @@ const (
 	// MaxEntries bounds ReuseEntries, VSBEntries, VerifyCacheSize and
 	// PendingQueueSize.
 	MaxEntries = 1 << 16
+	// MaxCacheLines bounds CacheLines, the tag lines of every cache on the
+	// chip: each costs about 53 bytes at gpu.New, and the per-field caps
+	// alone admit gigabytes of them. The default geometry needs 12,384 lines
+	// at 15 SMs and 432,128 at 1,024.
+	MaxCacheLines = 1 << 20
 )
+
+// CacheLines returns how many tag lines gpu.New allocates for the config's
+// caches: the L1D, constant and texture caches of every SM plus every L2
+// partition. It mirrors mem.NewCache, which rounds a cache down to whole
+// sets and keeps at least one set. Call it only on a config whose ways and
+// line size are positive, as Validate ensures.
+func (c *Config) CacheLines() int {
+	lines := func(size, ways int) int {
+		return max(size/c.LineBytes/ways, 1) * ways
+	}
+	perSM := lines(c.L1DBytes, c.L1DWays) + lines(c.ConstBytes, 4) + lines(c.TexBytes, 4)
+	return c.NumSMs*perSM + c.L2Partitions*lines(c.L2BytesPerPart, c.L2Ways)
+}
 
 // Validate checks the configuration for internally inconsistent values,
 // including every zero divisor, negative size and oversized allocation that
@@ -300,6 +319,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: negative PendingQueueSize")
 	case c.Scheduler != "" && c.Scheduler != SchedGTO && c.Scheduler != SchedLRR:
 		return fmt.Errorf("config: unknown scheduler %q", c.Scheduler)
+	}
+	if n := c.CacheLines(); n > MaxCacheLines {
+		return fmt.Errorf("config: caches need %d tag lines, above the limit of %d", n, MaxCacheLines)
 	}
 	return nil
 }

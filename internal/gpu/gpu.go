@@ -189,16 +189,16 @@ func (g *GPU) SetAttribution(c *attr.Collector) {
 }
 
 // NewHostProf builds a host-profile collector sized for this GPU (one SMProf
-// per SM, one slot per warp). Attach it with SetHostProf.
+// per SM). Attach it with SetHostProf.
 func (g *GPU) NewHostProf() *hostprof.Collector {
-	return hostprof.NewCollector(g.cfg.NumSMs, g.cfg.WarpsPerSM)
+	return hostprof.NewCollector(g.cfg.NumSMs)
 }
 
 // SetHostProf attaches (or detaches, with nil) the host-side performance
-// profiler: the Run loop records driver-phase wall time and allocation
-// deltas, and every SM's Tick times its phases. The profiler only reads
-// clocks and counters — simulation outputs are bit-identical with or without
-// it. The collector must have at least NumSMs per-SM slots; use NewHostProf.
+// profiler: the Run loop records driver-phase wall time, and every SM's Tick
+// times its phases. The profiler only reads clocks — simulation outputs are
+// bit-identical with or without it. The collector must have at least NumSMs
+// per-SM slots; use NewHostProf.
 func (g *GPU) SetHostProf(c *hostprof.Collector) {
 	g.hp = c
 	for i, s := range g.sms {

@@ -1,30 +1,22 @@
 // Package hostprof is the simulator's view of itself: a low-overhead nested
-// phase timer and allocation tracker that attributes real wall-time and
-// bytes-allocated to the phases of the simulation loop (block dispatch, SM
-// stepping, issue, pipeline advance, reuse/VSB lookup, memory-system tick,
-// trace/hook delivery, telemetry), plus quiescence telemetry — how many
-// (SM, cycle) ticks did no work at all, and how long the quiet streaks run.
+// phase timer that attributes real wall time to the phases of the simulation
+// loop (block dispatch, SM stepping, issue, pipeline advance, reuse/VSB
+// lookup, memory-system tick, trace/hook delivery, telemetry) and exports it
+// as a pprof profile.
 //
-// Everything the observability stack shipped before this package watches the
-// *simulated GPU*; hostprof watches the *simulator*, so the ≥10x serial
-// speedup work on the ROADMAP can be steered by data instead of guesses. The
-// headline quiescence number — the skip-opportunity fraction — directly
-// sizes the payoff of event-driven stepping that skips quiescent SMs.
+// Everything else in the observability stack watches the *simulated GPU*;
+// hostprof watches the *simulator*, so speed work can be steered by data
+// instead of guesses.
 //
 // The collector is attached with gpu.SetHostProf and is disabled by default;
 // a simulator without one attached pays only nil checks in each SM tick.
 // Attaching one never perturbs simulation state: the collector only reads
-// clocks and counters, so outputs are bit-identical with hostprof on or off
-// (proven by the conformance test). Each SM has its own accumulator, so the
-// report breaks the step phase down per SM.
+// clocks, so outputs are bit-identical with hostprof on or off (proven by the
+// conformance test). Each SM has its own accumulator, so the profile breaks
+// the step phase down per SM.
 package hostprof
 
-import (
-	"runtime/metrics"
-	"time"
-
-	wmetrics "github.com/wirsim/wir/internal/metrics"
-)
+import "time"
 
 // Phase identifies one timed region of the simulation loop.
 type Phase uint8
@@ -81,40 +73,14 @@ var nowNS = func() int64 { return int64(time.Since(epoch)) }
 // reuse or memory span, which may itself contain a hook span.
 const maxNest = 4
 
-// SMProf accumulates one SM's phase timings and quiescence counters. It is
-// written only from that SM's Tick; the collector sums SMs at report time,
-// after the run.
+// SMProf accumulates one SM's phase timings. It is written only from that
+// SM's Tick; the collector sums SMs at export time, after the run.
 type SMProf struct {
 	last  int64            // mark: end of the previous lap segment
 	child [maxNest]int64   // nested time accumulated per open depth
 	depth int              // current nesting depth (0 = lap level)
 	wall  [NumPhases]int64 // self wall-time per phase, nanoseconds
 	count [NumPhases]uint64
-
-	// Quiescence counters. A tick is quiet when the SM did no work: nothing
-	// issued, no in-flight instruction could advance or inject memory lines,
-	// no dummy-MOV or pending-retry traffic. Idle ticks (no resident work at
-	// all) are the subset event-driven stepping could skip for free.
-	Ticks uint64
-	Quiet uint64
-	Idle  uint64
-
-	streak  uint64              // length of the quiet streak in progress
-	Streaks *wmetrics.Histogram // log2 run-length histogram of quiet streaks
-
-	// Per-warp-slot occupancy: cycles the slot held a live warp, and cycles
-	// that warp had instructions in flight.
-	WarpResident []uint64
-	WarpBusy     []uint64
-}
-
-// NewSMProf returns an accumulator for one SM with warpsPerSM warp slots.
-func NewSMProf(warpsPerSM int) *SMProf {
-	return &SMProf{
-		Streaks:      wmetrics.NewHistogram(),
-		WarpResident: make([]uint64, warpsPerSM),
-		WarpBusy:     make([]uint64, warpsPerSM),
-	}
 }
 
 // The four timer methods below are safe on a nil receiver and inline into
@@ -175,86 +141,32 @@ func (p *SMProf) close(ph Phase, t0 int64) {
 	p.child[p.depth] += d
 }
 
-// ObserveTick classifies the tick just completed. active means the SM did
-// any work this tick; idle means it had no resident blocks or in-flight work
-// at all.
-func (p *SMProf) ObserveTick(active, idle bool) {
-	p.Ticks++
-	if idle {
-		p.Idle++
-	}
-	if !active {
-		p.Quiet++
-		p.streak++
-		return
-	}
-	if p.streak > 0 {
-		p.Streaks.Observe(p.streak)
-		p.streak = 0
-	}
-}
-
-// ObserveSkippedTicks records n consecutive ticks the event-driven stepper
-// skipped. A skipped tick is by construction quiet (the SM was proven to
-// have no work), so the skip-opportunity fraction stays reconciled with
-// dense stepping: the report counts the skipped cycles exactly as it would
-// have counted them had they been ticked.
-func (p *SMProf) ObserveSkippedTicks(n uint64, idle bool) {
-	p.Ticks += n
-	p.Quiet += n
-	p.streak += n
-	if idle {
-		p.Idle += n
-	}
-}
-
-// FlushStreak closes a quiet streak still in progress so the run-length
-// histogram covers the whole run. Called at report time.
-func (p *SMProf) FlushStreak() {
-	if p.streak > 0 {
-		p.Streaks.Observe(p.streak)
-		p.streak = 0
-	}
-}
-
 // WallNS returns the accumulated self wall-time of ph in nanoseconds.
 func (p *SMProf) WallNS(ph Phase) int64 { return p.wall[ph] }
 
 // CountOf returns how many times ph was charged.
 func (p *SMProf) CountOf(ph Phase) uint64 { return p.count[ph] }
 
-// heapAllocsMetric is the runtime's cumulative heap allocation counter; a
-// single-sample Read is cheap enough to take at driver-phase boundaries.
-const heapAllocsMetric = "/gc/heap/allocs:bytes"
-
 // Collector gathers one GPU's host profile: the driver-loop phase accounting
-// (with allocation deltas) plus one SMProf per SM. Driver methods run from
-// the Run loop; each SM accumulator only from its SM's Tick.
+// plus one SMProf per SM. Driver methods run from the Run loop; each SM
+// accumulator only from its SM's Tick.
 type Collector struct {
 	sms []*SMProf
 
 	dlast  int64
 	dwall  [NumPhases]int64
 	dcount [NumPhases]uint64
-	dalloc [NumPhases]uint64
-
-	allocLast uint64
-	allocSamp []metrics.Sample
 
 	runStart int64
 	runNS    int64
 	runs     uint64
 }
 
-// NewCollector returns a collector for numSMs SMs with warpsPerSM warp slots
-// each.
-func NewCollector(numSMs, warpsPerSM int) *Collector {
-	c := &Collector{
-		sms:       make([]*SMProf, numSMs),
-		allocSamp: []metrics.Sample{{Name: heapAllocsMetric}},
-	}
+// NewCollector returns a collector for numSMs SMs.
+func NewCollector(numSMs int) *Collector {
+	c := &Collector{sms: make([]*SMProf, numSMs)}
 	for i := range c.sms {
-		c.sms[i] = NewSMProf(warpsPerSM)
+		c.sms[i] = &SMProf{}
 	}
 	return c
 }
@@ -265,30 +177,18 @@ func (c *Collector) SM(i int) *SMProf { return c.sms[i] }
 // NumSMs returns how many per-SM accumulators the collector holds.
 func (c *Collector) NumSMs() int { return len(c.sms) }
 
-func (c *Collector) readAlloc() uint64 {
-	metrics.Read(c.allocSamp)
-	return c.allocSamp[0].Value.Uint64()
-}
-
 // RunBegin marks the start of one gpu.Run's driver loop.
 func (c *Collector) RunBegin() {
 	c.runStart = nowNS()
 	c.dlast = c.runStart
-	c.allocLast = c.readAlloc()
 }
 
-// DriverLap charges the wall time and heap bytes allocated since the
-// previous driver mark to ph.
+// DriverLap charges the wall time since the previous driver mark to ph.
 func (c *Collector) DriverLap(ph Phase) {
 	n := nowNS()
-	a := c.readAlloc()
 	c.dwall[ph] += n - c.dlast
-	if a > c.allocLast { // the counter is cumulative, but guard regardless
-		c.dalloc[ph] += a - c.allocLast
-	}
 	c.dcount[ph]++
 	c.dlast = n
-	c.allocLast = a
 }
 
 // RunEnd closes the driver-loop accounting for one gpu.Run.
@@ -299,9 +199,6 @@ func (c *Collector) RunEnd() {
 
 // DriverWallNS returns the accumulated driver self wall-time of ph.
 func (c *Collector) DriverWallNS(ph Phase) int64 { return c.dwall[ph] }
-
-// DriverAllocBytes returns the heap bytes attributed to driver phase ph.
-func (c *Collector) DriverAllocBytes(ph Phase) uint64 { return c.dalloc[ph] }
 
 // RunWallNS returns the total wall time spent inside gpu.Run loops.
 func (c *Collector) RunWallNS() int64 { return c.runNS }

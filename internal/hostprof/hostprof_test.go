@@ -21,7 +21,7 @@ func stepClock(t *testing.T) func(ns int64) {
 // times of one tick sum exactly to the tick's elapsed time.
 func TestLapPartition(t *testing.T) {
 	step := stepClock(t)
-	p := NewSMProf(4)
+	p := &SMProf{}
 	p.BeginTick()
 	step(100)
 	p.Lap(PhaseSMRegfile)
@@ -52,7 +52,7 @@ func TestLapPartition(t *testing.T) {
 // lap exactly once, including at depth two.
 func TestNestedSelfTime(t *testing.T) {
 	step := stepClock(t)
-	p := NewSMProf(4)
+	p := &SMProf{}
 	p.BeginTick()
 	step(10) // execute self
 	t1 := p.Open()
@@ -72,65 +72,15 @@ func TestNestedSelfTime(t *testing.T) {
 	}
 }
 
-func TestObserveTickStreaks(t *testing.T) {
-	p := NewSMProf(2)
-	// quiet, quiet, active, quiet, active, quiet, quiet, quiet (run ends)
-	seq := []bool{false, false, true, false, true, false, false, false}
-	for _, active := range seq {
-		p.ObserveTick(active, !active)
-	}
-	p.FlushStreak()
-	if p.Ticks != 8 || p.Quiet != 6 || p.Idle != 6 {
-		t.Fatalf("ticks=%d quiet=%d idle=%d, want 8/6/6", p.Ticks, p.Quiet, p.Idle)
-	}
-	s := p.Streaks.Snapshot()
-	if s.Count != 3 {
-		t.Fatalf("streak count = %d, want 3 (2, 1, 3)", s.Count)
-	}
-	if s.Sum != 6 {
-		t.Fatalf("streak sum = %d, want 6 (every quiet tick in some streak)", s.Sum)
-	}
-	// Flushing twice must not double-count the trailing streak.
-	p.FlushStreak()
-	if p.Streaks.Count() != 3 {
-		t.Fatal("FlushStreak is not idempotent")
-	}
-}
-
-func TestReportQuiescence(t *testing.T) {
-	c := NewCollector(2, 2)
-	c.SM(0).Ticks, c.SM(0).Quiet, c.SM(0).Idle = 100, 30, 10
-	c.SM(1).Ticks, c.SM(1).Quiet, c.SM(1).Idle = 100, 10, 0
-	c.SM(0).streak = 5 // in-progress streak must be flushed by Report
-	r := c.Report()
-	if r.Schema != Schema {
-		t.Fatalf("schema = %q", r.Schema)
-	}
-	q := r.Quiescence
-	if q.TotalTicks != 200 || q.QuietTicks != 40 || q.IdleTicks != 10 {
-		t.Fatalf("quiescence totals wrong: %+v", q)
-	}
-	if q.SkipOpportunity != 0.2 || q.IdleFraction != 0.05 {
-		t.Fatalf("fractions wrong: %+v", q)
-	}
-	if r.SMs[0].QuietStreaks.Count != 1 || r.SMs[0].QuietStreaks.Sum != 5 {
-		t.Fatalf("in-progress streak not flushed into report: %+v", r.SMs[0].QuietStreaks)
-	}
-	if r.CPUs < 1 || r.GOMAXPROCS < 1 || r.GoVersion == "" {
-		t.Fatalf("provenance missing: %+v", r)
-	}
-}
-
 // TestProfileRoundTrip encodes a collector as pprof and parses it back with
 // the repo's own decoder: sample stacks must follow the static phase nesting
 // and the wall values must survive exactly.
 func TestProfileRoundTrip(t *testing.T) {
-	c := NewCollector(2, 2)
+	c := NewCollector(2)
 	c.dwall[PhaseDispatch] = 111
 	c.dcount[PhaseDispatch] = 1
 	c.dwall[PhaseStep] = 100_000
 	c.dcount[PhaseStep] = 2
-	c.dalloc[PhaseStep] = 4096
 	c.SM(0).wall[PhaseSMExecute] = 40_000
 	c.SM(0).count[PhaseSMExecute] = 2
 	c.SM(1).wall[PhaseSMReuse] = 5_000
@@ -145,7 +95,9 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DefaultSampleType != "wall" || p.SampleType[0].Unit != "nanoseconds" {
+	if p.DefaultSampleType != "wall" || len(p.SampleType) != 2 ||
+		p.SampleType[0] != (pprofenc.ValueType{Type: "wall", Unit: "nanoseconds"}) ||
+		p.SampleType[1] != (pprofenc.ValueType{Type: "laps", Unit: "count"}) {
 		t.Fatalf("sample types wrong: %+v default %q", p.SampleType, p.DefaultSampleType)
 	}
 	fnName := map[uint64]string{}

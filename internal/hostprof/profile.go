@@ -11,8 +11,8 @@ import (
 // host wall-clock nanoseconds, not simulated cycles. The synthetic call tree
 // follows Phase.Parent(): run → {dispatch, step, telemetry}, step →
 // {sm/regfile, sm/execute, sm/issue, sm/hooks, sm/other}, sm/execute →
-// {sm/reuse, sm/mem}. Sample values are [wall ns, laps, alloc bytes]; wall
-// is the default view. Per-SM phase samples carry the SM index as a numeric
+// {sm/reuse, sm/mem}. Sample values are [wall ns, laps]; wall is the
+// default view. Per-SM phase samples carry the SM index as a numeric
 // label so `pprof -tagfocus` isolates one SM.
 //
 // Every node's sample holds its SELF time, so flamegraph widths add up; the
@@ -24,7 +24,6 @@ func (c *Collector) Profile() *pprofenc.Profile {
 		SampleType: []pprofenc.ValueType{
 			{Type: "wall", Unit: "nanoseconds"},
 			{Type: "laps", Unit: "count"},
-			{Type: "alloc", Unit: "bytes"},
 		},
 		PeriodType:        pprofenc.ValueType{Type: "wall", Unit: "nanoseconds"},
 		Period:            1,
@@ -99,7 +98,7 @@ func (c *Collector) Profile() *pprofenc.Profile {
 		}
 		p.Samples = append(p.Samples, pprofenc.Sample{
 			LocationIDs: stackOf(ph),
-			Values:      []int64{wall, int64(c.dcount[ph]), int64(c.dalloc[ph])},
+			Values:      []int64{wall, int64(c.dcount[ph])},
 		})
 	}
 	for ph := int(PhaseSMRegfile); ph < NumPhases; ph++ {
@@ -109,7 +108,7 @@ func (c *Collector) Profile() *pprofenc.Profile {
 			}
 			p.Samples = append(p.Samples, pprofenc.Sample{
 				LocationIDs: stackOf(Phase(ph)),
-				Values:      []int64{sp.wall[ph], int64(sp.count[ph]), 0},
+				Values:      []int64{sp.wall[ph], int64(sp.count[ph])},
 				Labels:      []pprofenc.Label{{Key: "sm", Num: int64(i), NumUnit: "id"}},
 			})
 		}

@@ -33,6 +33,33 @@ func TestCacheHitMissLRU(t *testing.T) {
 	}
 }
 
+// TestCacheLinesMatchesNewSystem holds config.CacheLines, which Validate
+// caps, to the tag lines NewSystem really allocates, on the default geometry
+// and on caches smaller than one set, empty or negative in size.
+func TestCacheLinesMatchesNewSystem(t *testing.T) {
+	for i, mutate := range []func(*config.Config){
+		func(*config.Config) {},
+		func(c *config.Config) { c.NumSMs, c.LineBytes, c.L1DBytes, c.L1DWays = 3, 1, 4096, 1 },
+		func(c *config.Config) { c.ConstBytes, c.TexBytes = 0, 3*128 },
+		func(c *config.Config) { c.L1DBytes, c.L1DWays, c.L2Ways = 128, 64, 16 },
+		func(c *config.Config) { c.L2Partitions, c.L2BytesPerPart, c.ConstBytes = 5, -1<<20, -1 },
+	} {
+		cfg := config.Default(config.RLPV)
+		cfg.NumSMs = 2
+		mutate(&cfg)
+		s := NewSystem(&cfg, &stats.Sim{})
+		got := 0
+		for _, caches := range [][]*Cache{s.l1d, s.l1c, s.l1t, s.l2} {
+			for _, c := range caches {
+				got += len(c.sets) * c.ways
+			}
+		}
+		if want := cfg.CacheLines(); got != want {
+			t.Errorf("case %d: NewSystem allocated %d tag lines, CacheLines says %d", i, got, want)
+		}
+	}
+}
+
 func TestCacheWriteback(t *testing.T) {
 	c := NewCache(128, 1, 128) // a single line
 	c.Access(1, true)          // dirty

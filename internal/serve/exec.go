@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 
 	"github.com/wirsim/wir/internal/attr"
 	"github.com/wirsim/wir/internal/bench"
@@ -119,35 +120,32 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	coeff := energy.Default45nm()
 	eb := energy.Model(&coeff, &st, spec.Cfg.NumSMs)
 
-	arts := make(map[string][]byte, 6)
-	arts[ArtTrace] = traceBuf.Bytes()
-
-	var b bytes.Buffer
-	if err := sampler.WriteJSONL(&b); err != nil {
+	// Each artifact is encoded into a buffer of its own, and the bundle
+	// keeps that buffer's bytes, so no artifact is copied once written.
+	arts := map[string][]byte{ArtTrace: traceBuf.Bytes()}
+	encode := func(name string, write func(io.Writer) error) error {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			return err
+		}
+		arts[name] = b.Bytes()
+		return nil
+	}
+	if err := encode(ArtIntervals, sampler.WriteJSONL); err != nil {
 		return nil, cycles, err
 	}
-	arts[ArtIntervals] = append([]byte(nil), b.Bytes()...)
-
-	b.Reset()
-	if err := collector.WriteProfile(&b, cycles); err != nil {
+	if err := encode(ArtPprof, func(w io.Writer) error { return collector.WriteProfile(w, cycles) }); err != nil {
 		return nil, cycles, err
 	}
-	arts[ArtPprof] = append([]byte(nil), b.Bytes()...)
-
-	b.Reset()
 	tevs := perfetto.Convert(perfettoSink.Events)
 	tevs = append(tevs, reuseCollector.PerfettoCounters()...)
-	if err := perfetto.WriteEvents(&b, tevs); err != nil {
+	if err := encode(ArtPerfetto, func(w io.Writer) error { return perfetto.WriteEvents(w, tevs) }); err != nil {
 		return nil, cycles, err
 	}
-	arts[ArtPerfetto] = append([]byte(nil), b.Bytes()...)
-
 	reuseCollector.Publish(reg)
-	b.Reset()
-	if err := reuseCollector.WriteJSON(&b); err != nil {
+	if err := encode(ArtReuse, reuseCollector.WriteJSON); err != nil {
 		return nil, cycles, err
 	}
-	arts[ArtReuse] = append([]byte(nil), b.Bytes()...)
 
 	rep := metrics.NewReport(spec.Benchmark, fmt.Sprint(spec.Model), spec.Cfg.NumSMs, &st)
 	rep.ConfigHash = spec.Token
@@ -160,11 +158,8 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	rep.Hotspots = collector.Hotspots(10)
 	rep.Derived["reuse_achieved_ratio"] = reuseCollector.AchievedRatio()
 	reuseCollector.AnnotateHotspots(rep.Hotspots)
-	b.Reset()
-	if err := rep.WriteJSON(&b); err != nil {
+	if err := encode(ArtStats, rep.WriteJSON); err != nil {
 		return nil, cycles, err
 	}
-	arts[ArtStats] = append([]byte(nil), b.Bytes()...)
-
 	return arts, cycles, nil
 }

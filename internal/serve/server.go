@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -594,7 +595,7 @@ func (s *Server) runSim(j *Job) error {
 		s.inflight[j.token] = ch
 		s.mu.Unlock()
 
-		arts, cycles, err := ExecuteSim(j.spec, j.reg)
+		arts, cycles, err := s.execute(j)
 		if err == nil {
 			s.simCycles.Add(cycles)
 			if perr := s.store.Put(j.token, arts); perr != nil {
@@ -610,6 +611,19 @@ func (s *Server) runSim(j *Job) error {
 		}
 		return s.finishSim(j, arts, false, cycles)
 	}
+}
+
+// execute runs the job's simulation and turns a panic into an error, with
+// the stack in the log: one bad job fails (exit_code 1) instead of ending
+// the daemon and every job it holds.
+func (s *Server) execute(j *Job) (arts map[string][]byte, cycles uint64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.logf("serve: job %s panicked: %v\n%s", j.ID, r, debug.Stack())
+			arts, err = nil, fmt.Errorf("simulation panicked: %v", r)
+		}
+	}()
+	return ExecuteSim(j.spec, j.reg)
 }
 
 func (s *Server) finishSim(j *Job, arts map[string][]byte, hit bool, cycles uint64) error {

@@ -12,10 +12,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/config"
+	"github.com/wirsim/wir/internal/gpu"
 	"github.com/wirsim/wir/internal/harness"
 )
 
@@ -154,6 +157,15 @@ func submitRejections(tb testing.TB) []rejection {
 			cfgJSON(func(c *config.Config) { c.ReuseEntries = 1 << 62 }) + `}`, "ReuseEntries", 0},
 		{"config-line-bytes-overflow", `{"kind":"run","bench":"DW","config":` +
 			cfgJSON(func(c *config.Config) { c.LineBytes = 1 << 62 }) + `}`, "LineBytes", 0},
+		// Cache tag lines past config.MaxCacheLines, every field within its
+		// own cap. gpu.New once allocated 223 MB for the first on a job
+		// worker; the second needs about 7 GB.
+		{"config-huge-l1d-tags", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.NumSMs, c.LineBytes, c.L1DBytes, c.L1DWays = 1, 1, 4<<20, 1 }) +
+			`}`, "tag lines", 0},
+		{"config-huge-l2-tags", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.L2Partitions, c.L2BytesPerPart, c.L2Ways = 1024, 16<<20, 1 }) +
+			`}`, "tag lines", 0},
 	}
 }
 
@@ -192,7 +204,7 @@ func TestSubmitRejections(t *testing.T) {
 // fuzzer that built GPUs from the configs it accepts could exhaust the
 // machine. Nothing may panic, every rejection must be a usage error with a
 // 400 or 413, and every accepted job must carry a well-formed token and a
-// valid config within the job SM limit.
+// valid config within the job SM limit and the cache tag-line cap.
 func FuzzJobRequest(f *testing.F) {
 	for _, c := range submitRejections(f) {
 		f.Add([]byte(c.body))
@@ -218,6 +230,9 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if n := j.spec.Cfg.NumSMs; n > maxJobSMs {
 			t.Fatalf("accepted %s job has %d SMs, above the limit of %d", j.kind, n, maxJobSMs)
+		}
+		if n := j.spec.Cfg.CacheLines(); n > config.MaxCacheLines {
+			t.Fatalf("accepted %s job has %d cache tag lines, above the cap of %d", j.kind, n, config.MaxCacheLines)
 		}
 	})
 }
@@ -325,6 +340,77 @@ func TestRunJobFault(t *testing.T) {
 	}
 	if s.Store().Entries() != 0 {
 		t.Fatal("failed run was persisted to the store")
+	}
+}
+
+// TestPanickingJobFails makes a job's workload setup panic on its worker.
+// The job must fail with exit_code 1 and the panic in its error, the stack
+// must reach the log, and the daemon must live on: the token's single-flight
+// entry is released, so the same request then simulates to done, and
+// /v1/status still answers.
+func TestPanickingJobFails(t *testing.T) {
+	var (
+		srv   atomic.Pointer[Server]
+		armed atomic.Bool
+		mu    sync.Mutex
+		logs  strings.Builder
+	)
+	armed.Store(true)
+	s, ts := newTestServer(t, func(o *Options) {
+		o.Logf = func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		}
+		o.BeforeJob = func(id string) {
+			if !armed.CompareAndSwap(true, false) {
+				return
+			}
+			s := srv.Load()
+			s.mu.Lock()
+			j := s.jobs[id]
+			s.mu.Unlock()
+			j.spec.Setup = func(*gpu.GPU) (*bench.Workload, error) { panic("setup exploded") }
+		}
+	})
+	srv.Store(s)
+
+	run := func() JobView {
+		_, data := postJob(t, ts, tinyKasmJob("boom"))
+		var v JobView
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatalf("submit: %v (%s)", err, data)
+		}
+		return waitJob(t, ts, v.ID)
+	}
+	failed := run()
+	if failed.State != StateFailed || failed.Err == nil || failed.Err.ExitCode != 1 ||
+		!strings.Contains(failed.Err.Error, "setup exploded") {
+		t.Fatalf("panicking job: state=%s err=%+v; want failed, exit_code 1, naming the panic", failed.State, failed.Err)
+	}
+	mu.Lock()
+	logged := logs.String()
+	mu.Unlock()
+	if !strings.Contains(logged, "setup exploded") || !strings.Contains(logged, "goroutine ") {
+		t.Errorf("log lacks the panic and its stack:\n%s", logged)
+	}
+	s.mu.Lock()
+	flights := len(s.inflight)
+	s.mu.Unlock()
+	if flights != 0 {
+		t.Fatalf("%d single-flight entries left after the panic", flights)
+	}
+
+	if done := run(); done.State != StateDone || done.Hit || done.Cycles == 0 {
+		t.Fatalf("same request after the panic: state=%s hit=%v cycles=%d err=%+v; want a fresh done run",
+			done.State, done.Hit, done.Cycles, done.Err)
+	}
+	var st Status
+	if resp := getJSON(t, ts.URL+"/v1/status", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status answered %d", resp.StatusCode)
+	}
+	if st.Jobs[StateFailed] != 1 || st.Jobs[StateDone] != 1 {
+		t.Errorf("status jobs %v, want one failed and one done", st.Jobs)
 	}
 }
 

@@ -178,6 +178,12 @@ func (s *SM) SetAttribution(c *attr.Collector) {
 	}
 }
 
+// SetHostProf attaches (or detaches, with nil) the host-side phase profiler
+// for this SM. With one attached, Tick times each phase of the cycle. The
+// profiler only reads clocks, so simulation outputs are bit-identical either
+// way.
+func (s *SM) SetHostProf(p *hostprof.SMProf) { s.hp = p }
+
 // SetReuseProf attaches (or detaches, with nil) this SM's reuse-decision
 // profiler. Like attribution, attach before the first Tick so taxonomy sums
 // reconcile with the aggregate counters over the whole run.
@@ -464,17 +470,13 @@ func (s *SM) completeBlockIfDone(slot int) {
 }
 
 // Tick advances the SM by one cycle. With a host profiler attached it also
-// laps each phase of the cycle and classifies the tick for quiescence
-// telemetry; the profiler's methods are nil-safe, so an unprofiled tick pays
-// only their nil checks.
+// laps each phase of the cycle; the profiler's methods are nil-safe, so an
+// unprofiled tick pays only their nil checks.
 func (s *SM) Tick() {
 	hp := s.hp
 	issuedBefore := s.st.Issued
 	s.dirty = false
 	s.now++
-	// hadWork is latched after the cycle increment so the ReadyAt comparison
-	// sees the same clock the phases below will.
-	hadWork := hp != nil && s.hasWork()
 
 	hp.BeginTick()
 	s.rf.BeginCycle()
@@ -496,9 +498,6 @@ func (s *SM) Tick() {
 	s.sampleUtilization()
 	if s.rp != nil {
 		s.rp.ObserveCycle(s.eng.ReuseOccupancy(), s.now)
-	}
-	if hp != nil {
-		s.observeQuiescence(hadWork, issuedBefore)
 	}
 	s.computeWake(issuedBefore)
 	hp.Lap(hostprof.PhaseSMOther)
@@ -548,8 +547,7 @@ func (s *SM) Wake() { s.wake = 0 }
 // must have proven the SM cannot do work in any of them: s.now+n must not
 // reach WakeAt. All per-cycle telemetry that dense quiet ticks would have
 // recorded — utilization samples and gauges, the per-slot stall counts and
-// their per-PC blame, the reuse-profiler occupancy series, the host
-// profiler's quiet/idle tick counts and warp-slot occupancy — is recorded in
+// their per-PC blame, the reuse-profiler occupancy series — is recorded in
 // closed form, so every downstream artifact is bit-identical to dense
 // stepping.
 func (s *SM) SkipTicks(n uint64) {
@@ -567,17 +565,6 @@ func (s *SM) SkipTicks(n uint64) {
 	}
 	if s.rp != nil {
 		s.rp.ObserveQuietCycles(s.eng.ReuseOccupancy(), first, n)
-	}
-	if s.hp != nil {
-		s.hp.ObserveSkippedTicks(n, s.Idle())
-		for w, wc := range s.warps {
-			if wc.active && !wc.done {
-				s.hp.WarpResident[w] += n
-				if wc.inflight > 0 {
-					s.hp.WarpBusy[w] += n
-				}
-			}
-		}
 	}
 }
 

@@ -5,9 +5,9 @@
 //	wirbench [-sms N] [-j N] [-v] [-exp LIST] [-json FILE] [-csv FILE]
 //	         [-reuseprof-json FILE]
 //
-// LIST is a comma-separated subset of:
-// headline, fig2, fig12..fig22, table1, table2, table3,
-// ablation-assoc, ablation-pending, ablation-gating — or "all" (default).
+// LIST is a comma-separated subset of the harness registry (headline, fig2,
+// fig12..fig22, table1..table3 and the ablation-* studies) or "all"
+// (default); a name the registry lacks exits 2 and prints the registry.
 // -j widens the sweep worker pool, the only fan-out (simulations of a figure
 // run concurrently in this process; output is byte-identical to -j 1 — see
 // docs/PERFORMANCE.md).
@@ -18,10 +18,12 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"github.com/wirsim/wir/internal/graceful"
@@ -42,11 +44,11 @@ func main() {
 	guard := graceful.New("wirbench")
 	guard.Watch()
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
+	want, err := selected(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wirbench:", err)
+		os.Exit(2)
 	}
-	all := want["all"]
 
 	h := harness.New()
 	h.SMs = *sms
@@ -69,7 +71,7 @@ func main() {
 	out := os.Stdout
 	ran := 0
 	for _, s := range harness.Experiments() {
-		if !all && !want[s.Name] {
+		if !want[s.Name] {
 			continue
 		}
 		if ran > 0 {
@@ -81,23 +83,13 @@ func main() {
 		}
 		ran++
 	}
-	if ran == 0 && *jsonPath == "" && *csvPath == "" {
-		fmt.Fprintf(os.Stderr, "wirbench: no experiment matched %q\n", *exp)
-		os.Exit(2)
-	}
 	if *jsonPath != "" {
-		rep, err := h.RunAll()
-		if err != nil {
+		var rep bytes.Buffer
+		if err := h.WriteReport(&rep); err != nil {
 			fmt.Fprintf(os.Stderr, "wirbench: report: %v\n", err)
 			os.Exit(1)
 		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wirbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := os.WriteFile(*jsonPath, rep.Bytes(), 0o666); err != nil {
 			fmt.Fprintf(os.Stderr, "wirbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -122,6 +114,36 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// selected resolves -exp's comma-separated list through the harness registry
+// into the set of experiment names to run; "all" names every experiment.
+// Names are case-insensitive, and a name the registry lacks is an error
+// that lists each such name and then the registry.
+func selected(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, e := range strings.Split(list, ",") {
+		name := strings.TrimSpace(strings.ToLower(e))
+		if name == "all" {
+			for _, x := range harness.Experiments() {
+				want[x.Name] = true
+			}
+		} else if _, err := harness.ExperimentByName(name); err != nil {
+			unknown = append(unknown, strconv.Quote(name))
+		} else {
+			want[name] = true
+		}
+	}
+	if len(unknown) > 0 {
+		var names []string
+		for _, x := range harness.Experiments() {
+			names = append(names, x.Name)
+		}
+		return nil, fmt.Errorf("unknown experiment %s in -exp (want all or any of %s)",
+			strings.Join(unknown, ", "), strings.Join(names, ", "))
+	}
+	return want, nil
 }
 
 // writeReuseJSON writes the merged wir-reuse/1 report accumulated across every

@@ -152,9 +152,10 @@ func main() {
 	// The reuse profiler classifies every reuse-buffer/VSB decision and runs
 	// the infinite-capacity shadow tables. Like hostprof it is observational
 	// only (bit-identical outputs) and opt-in; -stats json attaches it so the
-	// report's derived rates include achieved/achievable.
+	// report's derived rates include achieved/achievable, and -perfetto so
+	// the trace always carries its counter tracks, whatever else is asked.
 	var reuseCollector *reuseprof.Collector
-	if *reuseprofFlag || *reuseprofJSON != "" || *statsMode == "json" {
+	if *reuseprofFlag || *reuseprofJSON != "" || *statsMode == "json" || *perfettoOut != "" {
 		reuseCollector = g.NewReuseProf()
 		g.SetReuseProf(reuseCollector)
 	}

@@ -9,9 +9,9 @@
 //
 // The collected tables export three ways: a pprof profile (pprof.go) whose
 // functions are kernels and whose lines are PCs, a ranked hotspot table
-// (Hotspots/WriteHotspots, surfaced by `wirsim -hotspots`, `wirprof
-// -hotspots`, and the `-stats json` report), and direct access for tests
-// that reconcile per-PC sums against the aggregate counters.
+// (Hotspots/WriteHotspots, surfaced by `wirsim -hotspots` and the
+// `-stats json` report), and direct access for tests that reconcile per-PC
+// sums against the aggregate counters.
 package attr
 
 import (

@@ -2,7 +2,10 @@
 // mirroring Table II of the WIR paper and the model matrix of section VII-A.
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Model selects which reuse design is simulated. The names follow the paper's
 // section VII-A machine models.
@@ -254,8 +257,9 @@ func (c *Config) CacheLines() int {
 }
 
 // Validate checks the configuration for internally inconsistent values,
-// including every zero divisor, negative size and oversized allocation that
-// would otherwise panic in gpu.New or at the first memory access.
+// including every zero divisor, negative field and oversized allocation that
+// would otherwise panic in gpu.New or at the first memory access, or be
+// simulated as if it were a machine.
 func (c *Config) Validate() error {
 	for _, f := range []struct {
 		name     string
@@ -279,16 +283,33 @@ func (c *Config) Validate() error {
 		{"VSBEntries", c.VSBEntries, MaxEntries},
 		{"VerifyCacheSize", c.VerifyCacheSize, MaxEntries},
 		{"PendingQueueSize", c.PendingQueueSize, MaxEntries},
+		// The rest size no allocation, so they are only kept non-negative.
+		{"SharedBytesPerSM", c.SharedBytesPerSM, math.MaxInt},
+		{"L1DMSHRs", c.L1DMSHRs, math.MaxInt},
+		{"L2Latency", c.L2Latency, math.MaxInt},
+		{"DRAMLatency", c.DRAMLatency, math.MaxInt},
+		{"DRAMQueue", c.DRAMQueue, math.MaxInt},
+		{"ReuseWays", c.ReuseWays, math.MaxInt},
+		{"VSBWays", c.VSBWays, math.MaxInt},
+		{"BackendDelay", c.BackendDelay, math.MaxInt},
+		{"MaxBarrierCount", c.MaxBarrierCount, math.MaxInt},
 	} {
-		if f.val > f.max {
+		switch {
+		case f.val < 0:
+			return fmt.Errorf("config: %s must not be negative, got %d", f.name, f.val)
+		case f.val > f.max:
 			return fmt.Errorf("config: %s %d is above the limit of %d", f.name, f.val, f.max)
 		}
 	}
 	switch {
+	case c.Model < 0 || int(c.Model) >= len(modelNames):
+		return fmt.Errorf("config: unknown model %d", int(c.Model))
 	case c.NumSMs <= 0:
 		return fmt.Errorf("config: NumSMs must be positive, got %d", c.NumSMs)
 	case c.BlocksPerSM <= 0:
 		return fmt.Errorf("config: BlocksPerSM must be positive, got %d", c.BlocksPerSM)
+	case c.WarpsPerSM <= 0:
+		return fmt.Errorf("config: WarpsPerSM must be positive, got %d", c.WarpsPerSM)
 	case c.SchedulersPerSM <= 0 || c.WarpsPerSM%c.SchedulersPerSM != 0:
 		return fmt.Errorf("config: WarpsPerSM (%d) must divide evenly across schedulers (%d)", c.WarpsPerSM, c.SchedulersPerSM)
 	case c.PhysRegsPerSM <= 0:
@@ -307,16 +328,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: L2Ways must be positive, got %d", c.L2Ways)
 	case c.Model.Reuse() && c.ReuseEntries <= 0:
 		return fmt.Errorf("config: reuse model requires ReuseEntries > 0")
-	case c.Model.UseVSB() && c.VSBEntries < 0:
-		return fmt.Errorf("config: negative VSBEntries")
 	case c.ReuseWays > 0 && c.ReuseEntries%c.ReuseWays != 0:
 		return fmt.Errorf("config: ReuseEntries %d not divisible by ReuseWays %d", c.ReuseEntries, c.ReuseWays)
 	case c.VSBWays > 0 && c.VSBEntries%c.VSBWays != 0:
 		return fmt.Errorf("config: VSBEntries %d not divisible by VSBWays %d", c.VSBEntries, c.VSBWays)
-	case c.BackendDelay < 0:
-		return fmt.Errorf("config: negative BackendDelay")
-	case c.PendingQueueSize < 0:
-		return fmt.Errorf("config: negative PendingQueueSize")
 	case c.Scheduler != "" && c.Scheduler != SchedGTO && c.Scheduler != SchedLRR:
 		return fmt.Errorf("config: unknown scheduler %q", c.Scheduler)
 	}

@@ -36,12 +36,51 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 		func(c *Config) { c.NumSMs, c.LineBytes, c.L1DBytes, c.L1DWays = 1, 1, 4<<20, 1 },
 		func(c *Config) { c.L2Partitions, c.L2BytesPerPart, c.L2Ways = 1024, 16<<20, 1 },
 		func(c *Config) { c.NumSMs, c.L1DBytes = MaxCount, 1<<20 },
+		// Negative fields. WarpsPerSM -512 divides across two schedulers and
+		// then panicked in makeslice; the others were simulated, several
+		// with changed cycle counts, as if they described a machine.
+		func(c *Config) { c.WarpsPerSM = -512 },
+		func(c *Config) { c.WarpsPerSM = 0 },
+		func(c *Config) { c.SharedBytesPerSM = -1 },
+		func(c *Config) { c.L1DBytes = -512 },
+		func(c *Config) { c.L1DMSHRs = -1 },
+		func(c *Config) { c.ConstBytes = -1 },
+		func(c *Config) { c.TexBytes = -1 },
+		func(c *Config) { c.L2BytesPerPart = -1 },
+		func(c *Config) { c.L2Latency = -1 },
+		func(c *Config) { c.DRAMLatency = -1 },
+		func(c *Config) { c.DRAMQueue = -1 },
+		func(c *Config) { c.ReuseWays = -1 },
+		func(c *Config) { c.VSBEntries = -1 },
+		func(c *Config) { c.VSBWays = -1 },
+		func(c *Config) { c.VerifyCacheSize = -1 },
+		func(c *Config) { c.PendingQueueSize = -1 },
+		func(c *Config) { c.MaxBarrierCount = -1 },
+		func(c *Config) { c.Model = -1 },
+		func(c *Config) { c.Model = Model(len(AllModels)) },
 	}
 	for i, mutate := range bad {
 		cfg := Default(RLPV)
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// TestValidateKeepsZeroLegal: the lower bound is zero, not one, for the
+// fields experiments set to zero: Fig. 20 runs without a VSB and the
+// pending-queue ablation without a pending queue.
+func TestValidateKeepsZeroLegal(t *testing.T) {
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.VSBEntries = 0 },
+		func(c *Config) { c.PendingQueueSize = 0 },
+		func(c *Config) { c.BackendDelay, c.ReuseWays, c.VSBWays = 0, 0, 0 },
+	} {
+		cfg := Default(RLPV)
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("rejected: %v", err)
 		}
 	}
 }
@@ -64,8 +103,8 @@ func TestCacheLines(t *testing.T) {
 
 // FuzzConfigValidate sets Config's int fields to arbitrary values and checks
 // Validate: it never panics, it answers the same twice without touching the
-// config, and every config it accepts keeps each bounded field and its cache
-// tag lines within their caps. The input is a run of 9-byte records, a field
+// config, and every config it accepts has no negative int field and keeps
+// each bounded field and its cache tag lines within their caps. The input is a run of 9-byte records, a field
 // index then a little-endian int64, applied to the paper's default config,
 // so a short input moves a few fields off a valid point. The target builds
 // no GPU, so nothing it accepts is allocated.
@@ -94,6 +133,8 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(records("NumSMs", 1, "LineBytes", 1, "L1DBytes", 4<<20, "L1DWays", 1))
 	f.Add(records("L2Partitions", 1024, "L2BytesPerPart", 16<<20, "L2Ways", 1))
 	f.Add(records("Model", -7, "ConstBytes", math.MinInt64, "TexBytes", 0))
+	f.Add(records("WarpsPerSM", -512))
+	f.Add(records("L1DMSHRs", -1, "DRAMLatency", -1))
 
 	bounded := []struct {
 		name string
@@ -120,6 +161,11 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		if errA != nil {
 			return
+		}
+		for _, i := range ints {
+			if got := v.Field(i).Int(); got < 0 {
+				t.Fatalf("accepted %s %d, below zero", rt.Field(i).Name, got)
+			}
 		}
 		for _, fb := range bounded {
 			if got := v.FieldByName(fb.name).Int(); got > int64(fb.max) {

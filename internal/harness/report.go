@@ -5,100 +5,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
 	"strconv"
 )
 
-// Report bundles every experiment's results for machine-readable export.
-// Nil fields were not run.
-type Report struct {
-	Headline *Headline                `json:"headline,omitempty"`
-	Fig2     *Fig2Result              `json:"fig2,omitempty"`
-	Fig12    *Fig12Result             `json:"fig12,omitempty"`
-	Fig13    *Fig13Result             `json:"fig13,omitempty"`
-	Fig14    *Fig14Result             `json:"fig14,omitempty"`
-	Fig15    *Fig15Result             `json:"fig15,omitempty"`
-	Fig16    *Fig16Result             `json:"fig16,omitempty"`
-	Fig17    *Fig17Result             `json:"fig17,omitempty"`
-	Fig18    *Fig18Result             `json:"fig18,omitempty"`
-	Fig19    *Fig19Result             `json:"fig19,omitempty"`
-	Fig20    *Fig20Result             `json:"fig20,omitempty"`
-	Fig21    *Fig21Result             `json:"fig21,omitempty"`
-	Fig22    *Fig22Result             `json:"fig22,omitempty"`
-	TableI   *TableIResult            `json:"table1,omitempty"`
-	Assoc    *AblationAssocResult     `json:"ablationAssociativity,omitempty"`
-	Pending  *AblationPendingResult   `json:"ablationPendingQueue,omitempty"`
-	Gating   *AblationGatingResult    `json:"ablationPowerGating,omitempty"`
-	Sched    *AblationSchedulerResult `json:"ablationScheduler,omitempty"`
-}
-
-// WriteJSON serializes the report with indentation.
-func (r *Report) WriteJSON(w io.Writer) error {
+// WriteReport runs every experiment that has a result and writes the results
+// as one indented JSON object, keyed by report key in registry order. It
+// writes nothing unless every experiment succeeds.
+func (h *Harness) WriteReport(w io.Writer) error {
+	obj := []byte{'{'}
+	for _, e := range Experiments() {
+		if e.result == nil {
+			continue
+		}
+		r, err := e.result(h)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		if len(obj) > 1 {
+			obj = append(obj, ',')
+		}
+		obj = append(strconv.AppendQuote(obj, e.key), ':')
+		obj = append(obj, b...)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// RunAll executes every experiment and assembles the full report. Errors
-// abort at the first failing experiment.
-func (h *Harness) RunAll() (*Report, error) {
-	rep := &Report{}
-	var err error
-	if rep.Headline, err = h.RunHeadline(); err != nil {
-		return nil, fmt.Errorf("headline: %w", err)
-	}
-	if rep.Fig2, err = h.Fig2(); err != nil {
-		return nil, fmt.Errorf("fig2: %w", err)
-	}
-	if rep.Fig12, err = h.Fig12(); err != nil {
-		return nil, fmt.Errorf("fig12: %w", err)
-	}
-	if rep.Fig13, err = h.Fig13(); err != nil {
-		return nil, fmt.Errorf("fig13: %w", err)
-	}
-	if rep.Fig14, err = h.Fig14(); err != nil {
-		return nil, fmt.Errorf("fig14: %w", err)
-	}
-	if rep.Fig15, err = h.Fig15(); err != nil {
-		return nil, fmt.Errorf("fig15: %w", err)
-	}
-	if rep.Fig16, err = h.Fig16(); err != nil {
-		return nil, fmt.Errorf("fig16: %w", err)
-	}
-	if rep.Fig17, err = h.Fig17(); err != nil {
-		return nil, fmt.Errorf("fig17: %w", err)
-	}
-	if rep.Fig18, err = h.Fig18(); err != nil {
-		return nil, fmt.Errorf("fig18: %w", err)
-	}
-	if rep.Fig19, err = h.Fig19(); err != nil {
-		return nil, fmt.Errorf("fig19: %w", err)
-	}
-	if rep.Fig20, err = h.Fig20(); err != nil {
-		return nil, fmt.Errorf("fig20: %w", err)
-	}
-	if rep.Fig21, err = h.Fig21(); err != nil {
-		return nil, fmt.Errorf("fig21: %w", err)
-	}
-	if rep.Fig22, err = h.Fig22(); err != nil {
-		return nil, fmt.Errorf("fig22: %w", err)
-	}
-	if rep.TableI, err = h.TableI(); err != nil {
-		return nil, fmt.Errorf("table1: %w", err)
-	}
-	if rep.Assoc, err = h.AblationAssociativity(); err != nil {
-		return nil, fmt.Errorf("ablation-assoc: %w", err)
-	}
-	if rep.Pending, err = h.AblationPendingQueue(); err != nil {
-		return nil, fmt.Errorf("ablation-pending: %w", err)
-	}
-	if rep.Gating, err = h.AblationPowerGating(); err != nil {
-		return nil, fmt.Errorf("ablation-gating: %w", err)
-	}
-	if rep.Sched, err = h.AblationScheduler(); err != nil {
-		return nil, fmt.Errorf("ablation-scheduler: %w", err)
-	}
-	return rep, nil
+	return enc.Encode(json.RawMessage(append(obj, '}')))
 }
 
 // WriteRunsCSV dumps every memoized run (benchmark x model x variant) as a

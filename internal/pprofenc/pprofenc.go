@@ -8,9 +8,9 @@
 // Only the subset of profile.proto that such synthetic profiles need is
 // implemented: sample types, samples with location stacks and labels,
 // mappings, locations with line info, functions, comments, and the period /
-// default-sample-type metadata. The decoder exists so tests (and wirprof)
-// can round-trip emitted profiles; it accepts both packed and unpacked
-// repeated integer fields, mirroring the official parser's leniency.
+// default-sample-type metadata. The decoder exists so tests can round-trip
+// emitted profiles; it accepts both packed and unpacked repeated integer
+// fields, mirroring the official parser's leniency.
 package pprofenc
 
 import (

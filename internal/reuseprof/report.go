@@ -2,7 +2,6 @@ package reuseprof
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -63,7 +62,10 @@ type SMSection struct {
 }
 
 // KernelSection aggregates per-PC records across SMs for one kernel and
-// carries its top lost-reuse PCs.
+// carries its top lost-reuse PCs: the PCs whose shadow hits exceed their
+// real hits, ranked by that difference (largest first, ties by PC) and cut
+// to topLostPerKernel. It is the one lost-reuse ranking the tools print
+// (`wirsim -reuseprof-json`, `jq '.kernels[].top_lost'`).
 type KernelSection struct {
 	Kernel     string   `json:"kernel"`
 	Lookups    uint64   `json:"lookups"`
@@ -303,42 +305,4 @@ func (c *Collector) AnnotateHotspots(hs []metrics.Hotspot) {
 		hs[i].ShadowHits = p.ShadowHits
 		hs[i].LostReuse = lost(p)
 	}
-}
-
-// SortByLostReuse reorders a hotspot slice by lost reuse (descending),
-// breaking ties on shadow hits, then kernel and PC for determinism.
-func SortByLostReuse(hs []metrics.Hotspot) {
-	sort.SliceStable(hs, func(i, j int) bool {
-		a, b := &hs[i], &hs[j]
-		if a.LostReuse != b.LostReuse {
-			return a.LostReuse > b.LostReuse
-		}
-		if a.ShadowHits != b.ShadowHits {
-			return a.ShadowHits > b.ShadowHits
-		}
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		return a.PC < b.PC
-	})
-}
-
-// WriteLostHotspots renders an annotated hotspot slice as an aligned text
-// table ranked by lost reuse (`wirprof -lost-reuse`).
-func WriteLostHotspots(w io.Writer, hs []metrics.Hotspot) error {
-	if _, err := fmt.Fprintf(w, "%-14s %4s  %-28s %10s %10s %10s %10s\n",
-		"kernel", "pc", "instruction", "hits", "shadow", "lost", "issued"); err != nil {
-		return err
-	}
-	for _, h := range hs {
-		op := h.Op
-		if len(op) > 28 {
-			op = op[:25] + "..."
-		}
-		if _, err := fmt.Fprintf(w, "%-14s %4d  %-28s %10d %10d %10d %10d\n",
-			h.Kernel, h.PC, op, h.ReuseHits, h.ShadowHits, h.LostReuse, h.Issued); err != nil {
-			return err
-		}
-	}
-	return nil
 }

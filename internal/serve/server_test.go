@@ -166,6 +166,21 @@ func submitRejections(tb testing.TB) []rejection {
 		{"config-huge-l2-tags", `{"kind":"run","bench":"DW","config":` +
 			cfgJSON(func(c *config.Config) { c.L2Partitions, c.L2BytesPerPart, c.L2Ways = 1024, 16<<20, 1 }) +
 			`}`, "tag lines", 0},
+		// Negative fields. The first was accepted and then panicked in
+		// makeslice on a job worker; the rest were simulated and answered
+		// with changed cycle counts.
+		{"config-negative-warps", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.WarpsPerSM = -512 }) + `}`, "WarpsPerSM", 0},
+		{"config-negative-mshrs", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.L1DMSHRs = -1 }) + `}`, "L1DMSHRs", 0},
+		{"config-negative-l2-latency", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.L2Latency = -1 }) + `}`, "L2Latency", 0},
+		{"config-negative-dram-latency", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.DRAMLatency = -1 }) + `}`, "DRAMLatency", 0},
+		{"config-negative-verify-cache", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.VerifyCacheSize = -1 }) + `}`, "VerifyCacheSize", 0},
+		{"config-negative-l1d-bytes", `{"kind":"run","bench":"DW","config":` +
+			cfgJSON(func(c *config.Config) { c.L1DBytes = -512 }) + `}`, "L1DBytes", 0},
 	}
 }
 

@@ -18,9 +18,9 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,8 +35,8 @@ import (
 	"github.com/wirsim/wir/internal/mem"
 	"github.com/wirsim/wir/internal/metrics"
 	"github.com/wirsim/wir/internal/oracle"
-	"github.com/wirsim/wir/internal/perfetto"
 	"github.com/wirsim/wir/internal/reuseprof"
+	"github.com/wirsim/wir/internal/serve"
 	"github.com/wirsim/wir/internal/trace"
 )
 
@@ -112,33 +112,47 @@ func main() {
 	}
 	g.SetEventDriven(!*dense)
 
-	// Telemetry: one registry feeds the live endpoint, the interval sampler
-	// and the end-of-run report. Attached only when asked for, so plain runs
-	// keep the uninstrumented fast path.
-	var (
-		reg     *metrics.Registry
-		ins     *metrics.Instruments
-		sampler *metrics.Sampler
-	)
-	telemetry := *interval > 0 || *metricsOut != "" || *serveAddr != "" || *statsMode == "json"
-	if telemetry {
-		reg = metrics.NewRegistry()
-		ins = metrics.NewInstruments(reg)
-		g.SetInstruments(ins)
-	}
-	if *interval > 0 || *metricsOut != "" {
-		if *interval == 0 {
-			*interval = 1000 // -metrics without -interval: a sane cadence, not every cycle
+	// Each output flag names the served artifact it writes or reads, and
+	// serve.Attach attaches only the observers those artifacts need, so
+	// plain runs keep the uninstrumented fast path.
+	var names []string
+	for art, on := range map[string]bool{
+		serve.ArtStats:     *statsMode == "json",
+		serve.ArtIntervals: *interval > 0 || *metricsOut != "",
+		serve.ArtTrace:     *traceJSON != "",
+		serve.ArtPerfetto:  *perfettoOut != "",
+		serve.ArtPprof:     *pprofOut != "" || *hotspots > 0,
+		serve.ArtReuse:     *reuseprofFlag || *reuseprofJSON != "",
+	} {
+		if on {
+			names = append(names, art)
 		}
-		sampler = metrics.NewSampler(*interval)
-		sampler.Registry = reg
-		g.SetSampler(sampler)
 	}
+	if *interval == 0 {
+		*interval = 1000 // -metrics without -interval: a sane cadence, not every cycle
+	}
+	// -serve publishes the instruments live from the registry that also
+	// feeds the interval sampler and the end-of-run report.
+	var reg *metrics.Registry
 	if *serveAddr != "" {
+		reg = metrics.NewRegistry()
 		srv, err := metrics.Serve(*serveAddr, reg)
 		fatal(err)
 		fmt.Fprintf(os.Stderr, "wirsim: serving /metrics and /debug/pprof on %s\n", srv.Addr)
 	}
+	// The JSONL trace writes through an explicit buffer that is flushed and
+	// closed after the run with every error checked: a full disk or broken
+	// pipe must fail the run, not silently truncate the trace.
+	var (
+		traceFile *os.File
+		traceBuf  *bufio.Writer
+	)
+	if *traceJSON != "" {
+		traceFile, err = os.Create(*traceJSON)
+		fatal(err)
+		traceBuf = bufio.NewWriter(traceFile)
+	}
+	obs := serve.Attach(g, reg, *interval, traceBuf, names...)
 
 	// The host profiler watches the simulator itself (real wall time per
 	// simulation phase). Opt-in like the rest of the telemetry; without it
@@ -149,66 +163,17 @@ func main() {
 		g.SetHostProf(hostCollector)
 	}
 
-	// The reuse profiler classifies every reuse-buffer/VSB decision and runs
-	// the infinite-capacity shadow tables. Like hostprof it is observational
-	// only (bit-identical outputs) and opt-in; -stats json attaches it so the
-	// report's derived rates include achieved/achievable, and -perfetto so
-	// the trace always carries its counter tracks, whatever else is asked.
-	var reuseCollector *reuseprof.Collector
-	if *reuseprofFlag || *reuseprofJSON != "" || *statsMode == "json" || *perfettoOut != "" {
-		reuseCollector = g.NewReuseProf()
-		g.SetReuseProf(reuseCollector)
-	}
-
-	// Per-PC attribution feeds the pprof profile, the hotspot table, and the
-	// hotspots section of the JSON report. Like the instruments it is opt-in
-	// and attached before the run so the sums cover everything.
-	var collector *attr.Collector
-	if *pprofOut != "" || *hotspots > 0 || *statsMode == "json" {
-		collector = attr.NewCollector()
-		g.SetAttribution(collector)
-	}
-
 	var chk *oracle.Checker
 	if *useOracle {
 		chk = oracle.New(g.Mem())
-		chk.Attr = collector
+		chk.Attr = obs.Attr
 		oracle.Attach(g, chk)
 	}
 	if inj != nil {
 		g.SetChaos(inj)
 	}
-
-	var sinks trace.Multi
 	if *traceN > 0 {
-		sinks = append(sinks, &trace.Writer{W: os.Stdout, Max: *traceN})
-	}
-	// The JSONL sink writes through an explicit buffer that is flushed and
-	// closed after the run with every error checked: a full disk or broken
-	// pipe must fail the run, not silently truncate the trace.
-	var (
-		jsonSink  *trace.JSONWriter
-		traceFile *os.File
-		traceBuf  *bufio.Writer
-	)
-	if *traceJSON != "" {
-		traceFile, err = os.Create(*traceJSON)
-		fatal(err)
-		traceBuf = bufio.NewWriter(traceFile)
-		jsonSink = trace.NewJSONWriter(traceBuf)
-		sinks = append(sinks, jsonSink)
-	}
-	var perfettoSink *perfetto.Recorder
-	if *perfettoOut != "" {
-		perfettoSink = &perfetto.Recorder{}
-		sinks = append(sinks, perfettoSink)
-	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		g.SetTracer(sinks[0])
-	default:
-		g.SetTracer(sinks)
+		g.SetTracer(append(trace.Multi{&trace.Writer{W: os.Stdout, Max: *traceN}}, obs.Tracer...))
 	}
 
 	w, err := bm.Setup(g)
@@ -222,35 +187,22 @@ func main() {
 			}
 		}
 	}
-	cycles, runErr := w.Run(g)
+	cycles, runErr := obs.Run(g, w)
 
 	// Finalize the trace before judging the run: a watchdog diagnosis is
 	// exactly when the trace is most wanted.
-	g.FlushSampler()
-	if jsonSink != nil {
-		fatal(jsonSink.Err())
+	if traceFile != nil {
 		fatal(traceBuf.Flush())
 		fatal(traceFile.Close())
 	}
 	if inj != nil {
 		fmt.Fprintln(os.Stderr, "wirsim:", inj.Summary())
 	}
-
-	var we *gpu.WatchdogError
-	if errors.As(runErr, &we) {
-		fmt.Fprintln(os.Stderr, "wirsim:", we.Error())
-		os.Exit(exitFault)
-	}
-	var ae *gpu.AuditError
-	if errors.As(runErr, &ae) {
-		fmt.Fprintln(os.Stderr, "wirsim:", ae.Error())
+	if serve.IsFault(runErr) {
+		fmt.Fprintln(os.Stderr, "wirsim:", runErr)
 		os.Exit(exitFault)
 	}
 	fatal(runErr)
-	if err := g.CheckInvariants(); err != nil {
-		fmt.Fprintln(os.Stderr, "wirsim: invariant violated:", err)
-		os.Exit(exitFault)
-	}
 	if chk != nil {
 		chk.CheckMemory()
 		if err := chk.Err(); err != nil {
@@ -260,86 +212,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wirsim: oracle: clean (0 divergences)")
 	}
 
-	st := g.Stats()
-	coeff := energy.Default45nm()
-	eb := energy.Model(&coeff, &st, cfg.NumSMs)
-
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		fatal(err)
-		if strings.HasSuffix(*metricsOut, ".csv") {
-			fatal(sampler.WriteCSV(f))
-		} else {
-			fatal(sampler.WriteJSONL(f))
+	// Every file holds the bytes wirserve serves under its artifact name;
+	// only a -metrics name ending in .csv selects another encoding.
+	spec := &serve.RunSpec{Benchmark: bm.Abbr, Model: m, Cfg: cfg, Token: harness.KeyHash(harness.RunKey(bm.Abbr, m, nil, &cfg))}
+	art := func(name string) func(io.Writer) error {
+		return func(w io.Writer) error { return obs.Encode(name, w, g, spec, cycles) }
+	}
+	write := func(path string, enc func(io.Writer) error) {
+		if path == "" {
+			return
 		}
-		fatal(f.Close())
-	}
-
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
+		f, err := os.Create(path)
 		fatal(err)
-		fatal(collector.WriteProfile(f, cycles))
+		fatal(enc(f))
 		fatal(f.Close())
-		fmt.Fprintf(os.Stderr, "wirsim: wrote pprof profile to %s (view: go tool pprof -http=: %s)\n",
-			*pprofOut, *pprofOut)
+		fmt.Fprintln(os.Stderr, "wirsim: wrote", path)
 	}
-	if *hostprofOut != "" {
-		f, err := os.Create(*hostprofOut)
-		fatal(err)
-		fatal(hostCollector.WriteProfile(f))
-		fatal(f.Close())
-		fmt.Fprintf(os.Stderr, "wirsim: wrote host profile to %s (view: go tool pprof -http=: %s)\n",
-			*hostprofOut, *hostprofOut)
+	if strings.HasSuffix(*metricsOut, ".csv") {
+		write(*metricsOut, obs.Sampler.WriteCSV)
+	} else {
+		write(*metricsOut, art(serve.ArtIntervals))
 	}
-	if *perfettoOut != "" {
-		f, err := os.Create(*perfettoOut)
-		fatal(err)
-		tevs := perfetto.Convert(perfettoSink.Events)
-		if reuseCollector != nil {
-			// Counter tracks (reuse-buffer occupancy, rolling hit rate) ride
-			// along in the same trace so they line up with pipeline events.
-			tevs = append(tevs, reuseCollector.PerfettoCounters()...)
-		}
-		fatal(perfetto.WriteEvents(f, tevs))
-		fatal(f.Close())
-		fmt.Fprintf(os.Stderr, "wirsim: wrote %d trace events to %s (open in ui.perfetto.dev)\n",
-			len(tevs), *perfettoOut)
-	}
-
-	if reuseCollector != nil && reg != nil {
-		reuseCollector.Publish(reg)
-	}
-	if *reuseprofJSON != "" {
-		f, err := os.Create(*reuseprofJSON)
-		fatal(err)
-		fatal(reuseCollector.WriteJSON(f))
-		fatal(f.Close())
-		fmt.Fprintf(os.Stderr, "wirsim: wrote %s report to %s (achieved/achievable %.1f%%)\n",
-			reuseprof.Schema, *reuseprofJSON, 100*reuseCollector.AchievedRatio())
-	}
-
+	write(*pprofOut, art(serve.ArtPprof))
+	write(*hostprofOut, hostCollector.WriteProfile)
+	write(*perfettoOut, art(serve.ArtPerfetto))
+	write(*reuseprofJSON, art(serve.ArtReuse))
 	if *statsMode == "json" {
-		rep := metrics.NewReport(bm.Abbr, fmt.Sprint(m), cfg.NumSMs, &st)
-		rep.ConfigHash = harness.KeyHash(harness.RunKey(bm.Abbr, m, nil, &cfg))
-		sr := g.StallReport()
-		sr.Publish(reg)
-		rep.AttachStalls(&sr)
-		rep.AttachInstruments(ins)
-		rep.RFBankConflicts = g.RFConflictCounts()
-		rep.Energy = map[string]float64{"sm": eb.SM() / 1e6, "total": eb.Total() / 1e6}
-		n := *hotspots
-		if n <= 0 {
-			n = 10
-		}
-		rep.Hotspots = collector.Hotspots(n)
-		if reuseCollector != nil {
-			rep.Derived["reuse_achieved_ratio"] = reuseCollector.AchievedRatio()
-			reuseCollector.AnnotateHotspots(rep.Hotspots)
-		}
-		fatal(rep.WriteJSON(os.Stdout))
+		fatal(art(serve.ArtStats)(os.Stdout))
 		return
 	}
 
+	st := g.Stats()
+	coeff := energy.Default45nm()
+	eb := energy.Model(&coeff, &st, cfg.NumSMs)
 	fmt.Printf("%s (%s) on %v, %d SMs\n", bm.Name, bm.Abbr, m, cfg.NumSMs)
 	fmt.Printf("cycles                 %d (IPC %.2f per SM)\n", cycles,
 		float64(st.Issued)/float64(cycles)/float64(cfg.NumSMs))
@@ -360,7 +265,7 @@ func main() {
 	fmt.Printf("L1D                    %d accesses, %.1f%% miss\n", st.L1DAccesses, 100*st.L1DMissRate())
 	fmt.Printf("L2 / DRAM              %d / %d accesses\n", st.L2Accesses, st.DRAMAccesses)
 	fmt.Printf("energy (uJ)            SM %.2f, total %.2f\n", eb.SM()/1e6, eb.Total()/1e6)
-	if telemetry {
+	if obs.Ins != nil {
 		sr := g.StallReport()
 		fmt.Printf("issue slots            %d cycles, %.1f%% issued\n",
 			sr.SchedSlotCycles, 100*float64(sr.IssueCycles)/float64(sr.SchedSlotCycles))
@@ -374,11 +279,11 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	if sampler != nil {
-		fmt.Printf("intervals recorded     %d (every %d cycles)\n", len(sampler.Samples()), sampler.Every)
+	if obs.Sampler != nil {
+		fmt.Printf("intervals recorded     %d (every %d cycles)\n", len(obs.Sampler.Samples()), obs.Sampler.Every)
 	}
 	if *reuseprofFlag {
-		rr := reuseCollector.Report()
+		rr := obs.Reuse.Report()
 		fmt.Printf("reuse taxonomy         ")
 		first := true
 		for i := reuseprof.Bucket(0); i < reuseprof.NumBuckets; i++ {
@@ -397,7 +302,7 @@ func main() {
 	}
 	if *hotspots > 0 {
 		fmt.Printf("\ntop %d hotspots by simulated cycles\n", *hotspots)
-		attr.WriteHotspots(os.Stdout, collector.Hotspots(*hotspots))
+		attr.WriteHotspots(os.Stdout, obs.Attr.Hotspots(*hotspots))
 	}
 }
 

@@ -57,6 +57,11 @@ type Harness struct {
 	cache   map[string]*entry
 	workers int
 	coeff   energy.Coefficients
+	fig2    struct {
+		once sync.Once
+		r    *Fig2Result
+		err  error
+	}
 
 	simCycles atomic.Uint64 // total cycles freshly simulated (throughput metric)
 }

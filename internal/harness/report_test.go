@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,10 +96,10 @@ func cannedExec(key, abbr string, m config.Model, cfg config.Config) (*Result, e
 // TestWriteReportMatchesLegacyEncoder holds WriteReport to the bytes the
 // deleted 18-field report struct encoded for the same results. Runs come
 // from cannedExec; Fig. 2 builds its own GPUs, so it still simulates (at
-// one SM, twice).
+// one SM, once).
 func TestWriteReportMatchesLegacyEncoder(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Fig. 2 simulates all 34 benchmarks twice")
+		t.Skip("Fig. 2 simulates all 34 benchmarks")
 	}
 	h := New()
 	h.SMs = 1
@@ -151,6 +152,32 @@ func TestWriteReportMatchesLegacyEncoder(t *testing.T) {
 	}
 	if !strings.Contains(got.String(), `"RLPV"`) {
 		t.Fatalf("model keys must marshal by name:\n%.400s", got.String())
+	}
+}
+
+// TestFig2ProfilesOnce: `wirbench -exp fig2 -json` renders Fig. 2 and then
+// writes the report, and each benchmark is profiled once for both.
+func TestFig2ProfilesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Fig. 2 simulates all 34 benchmarks")
+	}
+	h := New()
+	h.SMs = 1
+	h.Exec = cannedExec
+	lines := 0
+	h.Progress = func(string) { lines++ }
+	fig2, err := ExperimentByName("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fig2.Run(h, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WriteReport(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(Benchmarks()); lines != want {
+		t.Fatalf("%d progress lines, want %d: one profile per benchmark", lines, want)
 	}
 }
 

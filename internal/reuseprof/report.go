@@ -108,22 +108,7 @@ func vsbTaxMap(t [NumVSBBuckets]uint64) map[string]uint64 {
 func (c *Collector) mergedTables() []*Table {
 	byName := make(map[string]*Table)
 	for _, s := range c.sms {
-		for name, ot := range s.byName {
-			t, ok := byName[name]
-			if !ok {
-				t = &Table{Kernel: name, PCs: make([]PCStats, len(ot.PCs))}
-				byName[name] = t
-			} else if len(t.PCs) < len(ot.PCs) {
-				grown := make([]PCStats, len(ot.PCs))
-				copy(grown, t.PCs)
-				t.PCs = grown
-			}
-			for pc := range ot.PCs {
-				t.PCs[pc].Lookups += ot.PCs[pc].Lookups
-				t.PCs[pc].Hits += ot.PCs[pc].Hits
-				t.PCs[pc].ShadowHits += ot.PCs[pc].ShadowHits
-			}
-		}
+		addTables(byName, s.byName)
 	}
 	names := make([]string, 0, len(byName))
 	for name := range byName {

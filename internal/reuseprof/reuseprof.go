@@ -263,20 +263,40 @@ func NewSMProf(id int) *SMProf {
 // Table returns (creating on first use) the per-PC table for kernel k,
 // growing an existing same-name table if k's code is longer.
 func (s *SMProf) Table(k *kasm.Kernel) *Table {
-	if t, ok := s.cache[k]; ok {
-		return t
-	}
-	t, ok := s.byName[k.Name]
+	t, ok := s.cache[k]
 	if !ok {
-		t = &Table{Kernel: k.Name, PCs: make([]PCStats, len(k.Code))}
-		s.byName[k.Name] = t
-	} else if len(t.PCs) < len(k.Code) {
-		grown := make([]PCStats, len(k.Code))
+		t = tableOf(s.byName, k.Name, len(k.Code))
+		s.cache[k] = t
+	}
+	return t
+}
+
+// tableOf returns byName's table for kernel name, creating it or growing it
+// to at least n PCs.
+func tableOf(byName map[string]*Table, name string, n int) *Table {
+	t, ok := byName[name]
+	if !ok {
+		t = &Table{Kernel: name, PCs: make([]PCStats, n)}
+		byName[name] = t
+	} else if len(t.PCs) < n {
+		grown := make([]PCStats, n)
 		copy(grown, t.PCs)
 		t.PCs = grown
 	}
-	s.cache[k] = t
 	return t
+}
+
+// addTables adds every per-PC count of src's tables into dst's tables of
+// the same kernel names.
+func addTables(dst, src map[string]*Table) {
+	for name, st := range src {
+		t := tableOf(dst, name, len(st.PCs))
+		for pc := range st.PCs {
+			t.PCs[pc].Lookups += st.PCs[pc].Lookups
+			t.PCs[pc].Hits += st.PCs[pc].Hits
+			t.PCs[pc].ShadowHits += st.PCs[pc].ShadowHits
+		}
+	}
 }
 
 // Tables returns the per-PC tables keyed by kernel name.
@@ -521,20 +541,5 @@ func (s *SMProf) merge(o *SMProf) {
 	s.EvictedGap.Merge(o.EvictedGap)
 	s.OccSum += o.OccSum
 	s.OccSamples += o.OccSamples
-	for name, ot := range o.byName {
-		t, ok := s.byName[name]
-		if !ok {
-			t = &Table{Kernel: name, PCs: make([]PCStats, len(ot.PCs))}
-			s.byName[name] = t
-		} else if len(t.PCs) < len(ot.PCs) {
-			grown := make([]PCStats, len(ot.PCs))
-			copy(grown, t.PCs)
-			t.PCs = grown
-		}
-		for pc := range ot.PCs {
-			t.PCs[pc].Lookups += ot.PCs[pc].Lookups
-			t.PCs[pc].Hits += ot.PCs[pc].Hits
-			t.PCs[pc].ShadowHits += ot.PCs[pc].ShadowHits
-		}
-	}
+	addTables(s.byName, o.byName)
 }

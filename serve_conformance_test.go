@@ -1,8 +1,8 @@
 // wirserve conformance suite: a job submitted to the daemon must return
 // BYTE-IDENTICAL artifacts to a local wirsim-equivalent run of the same
 // machine configuration. The reference pipeline below is written out
-// independently, mirroring cmd/wirsim's -stats json path instrument for
-// instrument, so any divergence in the service executor — a missing
+// independently of serve.Attach, Run and Encode, the steps wirsim and the
+// service executor share, so any divergence in them — a missing
 // collector, a reordered report section, a lost trace event — shows up as a
 // byte of difference rather than a plausible-looking but wrong artifact.
 //
@@ -54,8 +54,8 @@ const (
 //	       -trace-json ... -perfetto ... -pprof ... -reuseprof-json ...
 //
 // produces for the benchmark: the six artifacts the job API serves. It
-// deliberately repeats cmd/wirsim's pipeline rather than calling
-// serve.ExecuteSim — the duplication IS the test.
+// deliberately repeats the pipeline rather than calling serve.Attach —
+// the duplication IS the test.
 func localWirsimArtifacts(t *testing.T) (map[string][]byte, string) {
 	t.Helper()
 	bm, err := bench.ByAbbr(serveConfBench)

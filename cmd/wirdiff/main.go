@@ -14,16 +14,9 @@
 // buffers stay identical — the output comparison is the authoritative check
 // for such workloads.
 //
-// With -oracle, wirdiff instead replays a recorded retire stream through the
-// golden-model oracle: the benchmark's launches are emulated architecturally
-// and every recorded (PC, opcode, result-hash) is checked against the
-// emulator's expectations — so a stream recorded by an older build or on
-// another machine can be audited without re-running that build.
-//
 // Usage:
 //
 //	wirdiff [-sms N] [-a Base] [-b RLPV] [-ja trace.jsonl] [-jb trace.jsonl] <benchmark-abbr>
-//	wirdiff -oracle -ja trace.jsonl [-sms N] <benchmark-abbr>
 //
 // Exit status: 0 when the streams (and outputs, if compared) agree, 1 on
 // runtime errors, 2 on usage errors, 3 on any divergence — the shared
@@ -38,8 +31,6 @@ import (
 	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/config"
 	"github.com/wirsim/wir/internal/gpu"
-	"github.com/wirsim/wir/internal/oracle"
-	"github.com/wirsim/wir/internal/sm"
 	"github.com/wirsim/wir/internal/trace"
 )
 
@@ -56,22 +47,14 @@ func main() {
 	modelB := flag.String("b", "RLPV", "second machine model")
 	jsonA := flag.String("ja", "", "load the first retire stream from a recorded JSONL trace instead of running")
 	jsonB := flag.String("jb", "", "load the second retire stream from a recorded JSONL trace instead of running")
-	oracleMode := flag.Bool("oracle", false, "replay the -ja recorded retire stream through the golden-model oracle")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: wirdiff [-oracle] [-sms N] [-a M1] [-b M2] [-ja FILE] [-jb FILE] <benchmark-abbr>")
+		fmt.Fprintln(os.Stderr, "usage: wirdiff [-sms N] [-a M1] [-b M2] [-ja FILE] [-jb FILE] <benchmark-abbr>")
 		os.Exit(exitUsage)
 	}
 	abbr := flag.Arg(0)
 	bm, err := bench.ByAbbr(abbr)
 	fatal(err)
-	if *oracleMode {
-		if *jsonA == "" {
-			fmt.Fprintln(os.Stderr, "wirdiff: -oracle requires -ja FILE (the recorded stream to audit)")
-			os.Exit(exitUsage)
-		}
-		os.Exit(oracleReplay(bm, *jsonA, *sms))
-	}
 
 	run := func(name string) (*trace.RetireRecorder, []uint32) {
 		m, err := config.ParseModel(name)
@@ -139,44 +122,6 @@ func main() {
 		fmt.Printf("output buffers identical (%d words)\n", len(outA))
 	}
 	os.Exit(exit)
-}
-
-// oracleReplay audits a recorded retire stream against the golden model. The
-// benchmark runs once on the Base model with only the launch hook attached —
-// that run contributes nothing to the verdict except the exact block
-// decomposition and the launch-time memory images the emulator needs — and
-// the recorded stream is then checked against the emulated expectations.
-// Returns the process exit code so tests can drive it without os.Exit.
-func oracleReplay(bm *bench.Benchmark, path string, sms int) int {
-	f, err := os.Open(path)
-	fatal(err)
-	rec, err := trace.ReadRetireRecorder(f)
-	f.Close()
-	fatal(err)
-
-	cfg := config.Default(config.Base)
-	cfg.NumSMs = sms
-	g, err := gpu.New(cfg)
-	fatal(err)
-	chk := oracle.New(g.Mem())
-	g.SetLaunchHook(func(l *gpu.Launch, infos []sm.BlockInfo) { chk.BeginLaunch(infos) })
-	w, err := bm.Setup(g)
-	fatal(err)
-	_, err = w.Run(g)
-	fatal(err)
-
-	chk.VerifyRecorded(rec)
-	if err := chk.Err(); err != nil {
-		fmt.Println(err)
-		return exitFault
-	}
-	events := 0
-	for _, s := range rec.Streams {
-		events += len(s)
-	}
-	fmt.Printf("recorded stream matches the golden model: %d warps, %d retire events\n",
-		len(rec.Streams), events)
-	return exitOK
 }
 
 func fatal(err error) {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"github.com/wirsim/wir/internal/attr"
 	"github.com/wirsim/wir/internal/bench"
@@ -57,7 +56,7 @@ func main() {
 	traceJSON := flag.String("trace-json", "", "write every pipeline event as JSONL to this file")
 	disasm := flag.Bool("disasm", false, "print each kernel's program listing before running")
 	interval := flag.Uint64("interval", 0, "sample the counters every N cycles into an interval time series")
-	metricsOut := flag.String("metrics", "", "write the interval time series to this file (JSONL; .csv extension selects CSV)")
+	metricsOut := flag.String("metrics", "", "write the interval time series to this file as wir-intervals/1 JSONL")
 	statsMode := flag.String("stats", "text", "final statistics format: text or json")
 	serveAddr := flag.String("serve", "", "serve live /metrics (Prometheus text) and /debug/pprof on this address while running")
 	pprofOut := flag.String("pprof", "", "write a per-PC attribution profile (gzip'd pprof) of simulated cycles/energy to this file")
@@ -212,8 +211,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wirsim: oracle: clean (0 divergences)")
 	}
 
-	// Every file holds the bytes wirserve serves under its artifact name;
-	// only a -metrics name ending in .csv selects another encoding.
+	// Every file holds the bytes wirserve serves under its artifact name.
 	spec := &serve.RunSpec{Benchmark: bm.Abbr, Model: m, Cfg: cfg, Token: harness.KeyHash(harness.RunKey(bm.Abbr, m, nil, &cfg))}
 	art := func(name string) func(io.Writer) error {
 		return func(w io.Writer) error { return obs.Encode(name, w, g, spec, cycles) }
@@ -228,11 +226,7 @@ func main() {
 		fatal(f.Close())
 		fmt.Fprintln(os.Stderr, "wirsim: wrote", path)
 	}
-	if strings.HasSuffix(*metricsOut, ".csv") {
-		write(*metricsOut, obs.Sampler.WriteCSV)
-	} else {
-		write(*metricsOut, art(serve.ArtIntervals))
-	}
+	write(*metricsOut, art(serve.ArtIntervals))
 	write(*pprofOut, art(serve.ArtPprof))
 	write(*hostprofOut, hostCollector.WriteProfile)
 	write(*perfettoOut, art(serve.ArtPerfetto))

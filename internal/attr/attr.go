@@ -151,9 +151,6 @@ func (c *Collector) Table(k *kasm.Kernel, sm int) *Table {
 	return t
 }
 
-// Tables returns every table in creation order.
-func (c *Collector) Tables() []*Table { return c.tables }
-
 // NoteUnattributedStall charges n stall cycles that have no producer PC.
 func (c *Collector) NoteUnattributedStall(r metrics.StallReason, n uint64) { c.unattributed[r] += n }
 

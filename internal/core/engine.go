@@ -152,10 +152,6 @@ func (e *Engine) FreeRegs() int {
 	return e.cfg.PhysRegsPerSM - e.staticUse
 }
 
-// Pool exposes the register pool for invariant checks in tests; it is nil for
-// non-reuse models.
-func (e *Engine) Pool() *alloc.Pool { return e.pool }
-
 // --- block lifecycle ---
 
 // BlockLaunch prepares engine state for a block occupying the given SM-local

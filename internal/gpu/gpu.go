@@ -88,9 +88,6 @@ func New(cfg config.Config) (*GPU, error) {
 	return g, nil
 }
 
-// Config returns the GPU's configuration.
-func (g *GPU) Config() *config.Config { return &g.cfg }
-
 // Mem exposes the memory system for workload setup (allocation, host reads
 // and writes, constant/texture segments).
 func (g *GPU) Mem() *mem.System { return g.ms }

@@ -82,17 +82,6 @@ func (g *Guard) Interrupted() bool {
 	return g.interrupted
 }
 
-// Flush runs the registered flushers once, as if the process had been
-// interrupted, without exiting. Embedders that own process shutdown (and
-// tests that exercise the drain path in-process) use it; a later real signal
-// will not re-run the flushers. Nil-safe like every Guard method.
-func (g *Guard) Flush() {
-	if g == nil {
-		return
-	}
-	g.fire(false)
-}
-
 // fire runs the flushers once; with exit it then terminates the process.
 func (g *Guard) fire(exit bool) {
 	g.mu.Lock()

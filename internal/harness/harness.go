@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/config"
@@ -48,9 +47,7 @@ type Harness struct {
 	// Exec, when non-nil, replaces the local simulation for cache misses:
 	// Run delegates each fresh (key, config) to it instead of simulating
 	// in-process. perfbench uses this to time each fresh simulation of a
-	// figure; the executor is responsible for its own throughput accounting
-	// (a delegate that ends up calling Execute on some harness updates that
-	// harness's SimCycles as usual).
+	// figure.
 	Exec Executor
 
 	mu      sync.Mutex
@@ -62,8 +59,6 @@ type Harness struct {
 		r    *Fig2Result
 		err  error
 	}
-
-	simCycles atomic.Uint64 // total cycles freshly simulated (throughput metric)
 }
 
 // Executor produces the Result for one fully-mutated configuration. The key
@@ -106,10 +101,6 @@ func (h *Harness) SetParallelism(n int) {
 	h.workers = n
 	h.mu.Unlock()
 }
-
-// SimCycles returns the total simulated cycles across all fresh (non-memoized)
-// runs so far — the numerator of the cycles/sec throughput metric.
-func (h *Harness) SimCycles() uint64 { return h.simCycles.Load() }
 
 // Variant tweaks a configuration before a run (used by the sensitivity
 // sweeps). The name distinguishes cache entries.
@@ -263,7 +254,6 @@ func (h *Harness) simulate(key, abbr string, m config.Model, cfg config.Config) 
 		Stats:  st,
 		Energy: energy.Model(&h.coeff, &st, cfg.NumSMs),
 	}
-	h.simCycles.Add(cycles)
 	if h.Progress != nil {
 		h.mu.Lock()
 		h.Progress(fmt.Sprintf("ran %-14s cycles=%d bypass=%.1f%%", key, cycles, 100*st.BypassRate()))

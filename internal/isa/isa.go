@@ -377,10 +377,6 @@ func (in *Instr) IsLoad() bool { return in.Op == OpLd }
 // IsStore reports whether the instruction is a memory store.
 func (in *Instr) IsStore() bool { return in.Op == OpSt }
 
-// IsBarrier reports whether the instruction synchronizes the thread block for
-// the purposes of load reuse (BAR and MEMFENCE).
-func (in *Instr) IsBarrier() bool { return in.Op == OpBar || in.Op == OpMemF }
-
 // Reusable reports whether the result of the instruction may be recorded in
 // and served from the reuse buffer, ignoring divergence and memory-hazard
 // restrictions (those are dynamic). Per the paper, arithmetic instructions and

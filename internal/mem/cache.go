@@ -36,9 +36,6 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	return c
 }
 
-// LineAddr maps a byte address to its line address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr / uint64(c.lineSize) }
-
 // Access looks up lineAddr, fills it on a miss (evicting LRU), and reports
 // whether it hit along with whether the eviction displaced a dirty line.
 func (c *Cache) Access(lineAddr uint64, markDirty bool) (hit, writeback bool) {

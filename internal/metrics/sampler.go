@@ -34,9 +34,6 @@ type Sample struct {
 	delta stats.Sim
 }
 
-// Delta returns the interval's raw counter delta.
-func (s *Sample) Delta() stats.Sim { return s.delta }
-
 // Sampler snapshots cumulative run statistics every Every cycles and keeps
 // the per-interval deltas. It is driven from the simulation loop (GPU.Run),
 // so it sees a coherent view of the non-atomic stats counters; the optional
@@ -205,37 +202,4 @@ func ReadJSONL(r io.Reader) ([]Sample, error) {
 		}
 		out = append(out, s)
 	}
-}
-
-// WriteCSV writes the time series as CSV: a header row with the derived
-// rates followed by every stats counter in declaration order.
-func (sp *Sampler) WriteCSV(w io.Writer) error {
-	names := stats.FieldNames()
-	if _, err := fmt.Fprint(w, "start,end,ipc,bypass_rate,vsb_hit_rate,rf_traffic,l1d_miss_rate"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, ",%s", n); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for i := range sp.samples {
-		s := &sp.samples[i]
-		if _, err := fmt.Fprintf(w, "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f",
-			s.Start, s.End, s.IPC, s.BypassRate, s.VSBHitRate, s.RFTraffic, s.L1DMissRate); err != nil {
-			return err
-		}
-		for _, n := range names {
-			if _, err := fmt.Fprintf(w, ",%d", s.Counters[n]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -116,24 +116,3 @@ func TestSamplerJSONLRoundTrip(t *testing.T) {
 		t.Fatal("bogus schema accepted")
 	}
 }
-
-func TestSamplerWriteCSV(t *testing.T) {
-	sp := NewSampler(10)
-	var cum stats.Sim
-	cum.Cycles, cum.Issued = 10, 25
-	sp.Observe(10, cum)
-	var buf bytes.Buffer
-	if err := sp.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d CSV lines, want header + 1 row", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "start,end,ipc,") || !strings.Contains(lines[0], ",Issued,") {
-		t.Fatalf("header wrong: %s", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "0,10,2.5") {
-		t.Fatalf("row wrong: %s", lines[1])
-	}
-}

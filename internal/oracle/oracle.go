@@ -113,7 +113,6 @@ type streamKey struct {
 }
 
 type stream struct {
-	kernel   *kasm.Kernel
 	expects  []expect
 	consumed int // retire events checked against this stream
 }
@@ -268,7 +267,7 @@ func (c *Checker) emulateBlock(info *sm.BlockInfo) {
 		} else {
 			m = isa.Mask(1<<uint(lanes)) - 1
 		}
-		st := &stream{kernel: k}
+		st := &stream{}
 		c.streams[streamKey{launch: info.Launch, block: bl, warp: i}] = st
 		warps[i] = &wstate{
 			stack:   []simtEntry{{pc: 0, rpc: -1, mask: m}},

@@ -117,12 +117,6 @@ func key(e *trace.Event) flightKey {
 	return flightKey{sm: e.SM, warp: e.Warp, launch: e.Launch, block: e.Block, wib: e.WarpInBlock, seq: e.Seq}
 }
 
-// Write converts events and writes them as a JSON array, one event per line
-// (the array-of-events form both Perfetto and chrome://tracing accept).
-func Write(w io.Writer, events []trace.Event) error {
-	return WriteEvents(w, Convert(events))
-}
-
 // bufSize is WriteEvents' write size: events are appended to one buffer,
 // which goes to w whenever it holds flushAt bytes, so an unbuffered file
 // sees a write per 64 KiB rather than one per event.
@@ -132,7 +126,8 @@ const (
 )
 
 // WriteEvents writes already-converted trace events as a JSON array, one
-// event per line. Callers that append extra tracks (e.g. the reuse profiler's
+// event per line (the array-of-events form both Perfetto and chrome://tracing
+// accept). Callers that append extra tracks (e.g. the reuse profiler's
 // counter events) convert first, splice, then write. Each event is byte for
 // byte what encoding/json writes for the object it describes, object keys
 // (args included) in sorted order.

@@ -29,8 +29,8 @@ func sampleEvents() []trace.Event {
 // fields.
 func TestWriteIsEventArray(t *testing.T) {
 	var bb bytes.Buffer
-	if err := perfetto.Write(&bb, sampleEvents()); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := perfetto.WriteEvents(&bb, perfetto.Convert(sampleEvents())); err != nil {
+		t.Fatalf("WriteEvents: %v", err)
 	}
 	var arr []map[string]any
 	if err := json.Unmarshal(bb.Bytes(), &arr); err != nil {
@@ -153,8 +153,8 @@ func TestIssueArgsCarryKernel(t *testing.T) {
 
 func TestWriteEmpty(t *testing.T) {
 	var bb bytes.Buffer
-	if err := perfetto.Write(&bb, nil); err != nil {
-		t.Fatalf("Write(nil): %v", err)
+	if err := perfetto.WriteEvents(&bb, perfetto.Convert(nil)); err != nil {
+		t.Fatalf("WriteEvents(Convert(nil)): %v", err)
 	}
 	var arr []map[string]any
 	if err := json.Unmarshal(bb.Bytes(), &arr); err != nil {

@@ -60,9 +60,6 @@ func New(numRegs, groups, verifyEntries int) *File {
 	return f
 }
 
-// NumRegs returns the number of physical warp registers.
-func (f *File) NumRegs() int { return len(f.vals) }
-
 // Group returns the bank group serving the physical register.
 func (f *File) Group(p PhysID) int { return int(p) % f.groups }
 

@@ -153,7 +153,8 @@ func (s *SM) SetInstruments(mx *metrics.Instruments) {
 
 // SetAttribution attaches (or detaches, with nil) the per-PC attribution
 // collector. Like the instruments, attach before the first Tick so the
-// per-PC sums reconcile with the aggregate counters over the whole run.
+// per-PC sums reconcile with the aggregate counters over the whole run; a
+// block caches its table at launch, so attach only while none is resident.
 // Attribution also enables the per-slot issue/stall accounting, so a
 // StallReport is meaningful with attribution attached even when the
 // instruments are not.
@@ -163,18 +164,6 @@ func (s *SM) SetAttribution(c *attr.Collector) {
 		s.attrCost = &c.Cost
 	} else {
 		s.attrCost = nil
-	}
-	// Blocks resident at attach/detach time resolve their table lazily at
-	// the next issue; refresh their cached pointer here so mid-run attach
-	// does not mix nil and live records within one block.
-	for _, b := range s.blocks {
-		if b.active {
-			if c != nil {
-				b.atab = c.Table(b.info.Kernel, s.ID)
-			} else {
-				b.atab = nil
-			}
-		}
 	}
 }
 
@@ -186,22 +175,11 @@ func (s *SM) SetHostProf(p *hostprof.SMProf) { s.hp = p }
 
 // SetReuseProf attaches (or detaches, with nil) this SM's reuse-decision
 // profiler. Like attribution, attach before the first Tick so taxonomy sums
-// reconcile with the aggregate counters over the whole run.
+// reconcile with the aggregate counters over the whole run, and only while
+// no block is resident.
 func (s *SM) SetReuseProf(p *reuseprof.SMProf) {
 	s.rp = p
 	s.eng.SetReuseProf(p)
-	// Blocks resident at attach/detach time resolve their table lazily at
-	// the next issue; refresh their cached pointer here so mid-run attach
-	// does not mix nil and live records within one block.
-	for _, b := range s.blocks {
-		if b.active {
-			if p != nil {
-				b.rtab = p.Table(b.info.Kernel)
-			} else {
-				b.rtab = nil
-			}
-		}
-	}
 }
 
 // StallCounts returns a copy of the per-scheduler-slot stall attribution.
@@ -326,9 +304,6 @@ func New(id int, cfg *config.Config, st *stats.Sim, ms *mem.System) *SM {
 	}
 	return s
 }
-
-// Engine exposes the WIR engine for invariant checks in tests.
-func (s *SM) Engine() *core.Engine { return s.eng }
 
 // FlushLoadReuse drops reusable load results at a kernel-launch boundary.
 func (s *SM) FlushLoadReuse() { s.eng.FlushLoadEntries() }

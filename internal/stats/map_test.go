@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func TestFieldNamesMatchStruct(t *testing.T) {
-	names := FieldNames()
-	typ := reflect.TypeOf(Sim{})
-	if len(names) != typ.NumField() {
-		t.Fatalf("%d names for %d fields", len(names), typ.NumField())
-	}
-	for i, n := range names {
-		if typ.Field(i).Name != n {
-			t.Fatalf("name %d = %q, want %q (declaration order)", i, n, typ.Field(i).Name)
-		}
-	}
-}
-
 func TestMapCoversEveryField(t *testing.T) {
 	s := Sim{Issued: 5, Cycles: 9, AffineFUOps: 2}
 	m := s.Map()

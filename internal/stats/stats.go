@@ -213,13 +213,6 @@ var fieldNames = func() []string {
 	return out
 }()
 
-// FieldNames returns the counter names of Sim in declaration order.
-func FieldNames() []string {
-	out := make([]string, len(fieldNames))
-	copy(out, fieldNames)
-	return out
-}
-
 // Map returns every counter of s keyed by field name. All Sim fields are
 // uint64, which the reflection walk relies on; adding a non-uint64 field
 // would panic the telemetry tests immediately.

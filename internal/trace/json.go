@@ -68,25 +68,22 @@ func fromJSONEvent(je jsonEvent) (Event, error) {
 }
 
 // JSONWriter streams events as JSON lines behind a schema header, optionally
-// filtered by kind, SM, and warp. The zero filter values pass everything.
-// Each line is byte for byte what encoding/json writes for a jsonEvent, and
-// goes out in one Write.
+// filtered by kind. Each line is byte for byte what encoding/json writes for
+// a jsonEvent, and goes out in one Write.
 type JSONWriter struct {
 	w   io.Writer
 	buf []byte // the line being encoded, reused across events
 	err error
 	n   int
 
-	// Filters. A nil Kinds passes all kinds; SM and Warp < 0 pass all.
+	// Kinds filters by event kind; nil passes all kinds.
 	Kinds map[Kind]bool
-	SM    int
-	Warp  int
 }
 
 // NewJSONWriter returns a JSONL sink writing to w, with the schema header
 // already emitted and no filtering.
 func NewJSONWriter(w io.Writer) *JSONWriter {
-	jw := &JSONWriter{w: w, SM: -1, Warp: -1}
+	jw := &JSONWriter{w: w}
 	_, jw.err = io.WriteString(w, `{"schema":"`+JSONSchema+`"}`+"\n")
 	return jw
 }
@@ -106,12 +103,6 @@ func (jw *JSONWriter) Emit(e Event) {
 		return
 	}
 	if jw.Kinds != nil && !jw.Kinds[e.Kind] {
-		return
-	}
-	if jw.SM >= 0 && e.SM != jw.SM {
-		return
-	}
-	if jw.Warp >= 0 && e.Warp != jw.Warp {
 		return
 	}
 	b := append(jw.buf[:0], `{"kind":`...)

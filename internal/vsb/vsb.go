@@ -138,20 +138,6 @@ func (b *Buffer) EvictAny(c int) (regfile.PhysID, bool) {
 	return regfile.PhysNone, false
 }
 
-// InvalidateReg removes any entry referencing p. The register allocator calls
-// this defensively when recycling a register that should have no VSB
-// references; it returns how many entries were dropped (normally zero).
-func (b *Buffer) InvalidateReg(p regfile.PhysID) int {
-	n := 0
-	for i := range b.valid {
-		if b.valid[i] && b.regs[i] == p {
-			b.valid[i] = false
-			n++
-		}
-	}
-	return n
-}
-
 // Occupancy returns the number of valid entries.
 func (b *Buffer) Occupancy() int {
 	n := 0

@@ -27,9 +27,6 @@ type Hotspot = metrics.Hotspot
 // WriteHotspots renders hotspot rows as an aligned text table.
 func WriteHotspots(w io.Writer, hs []Hotspot) error { return attr.WriteHotspots(w, hs) }
 
-// PprofProfile is the in-memory form of a pprof profile.proto, encoded and
-// decoded without external dependencies.
+// PprofProfile is the in-memory form of a pprof profile.proto, encoded
+// without external dependencies.
 type PprofProfile = pprofenc.Profile
-
-// ParsePprof decodes a profile.proto blob (gzip'd or raw).
-var ParsePprof = pprofenc.Parse

@@ -2,7 +2,17 @@ package hostprof
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/wirsim/wir/internal/pprofenc"
 )
@@ -72,9 +82,89 @@ func TestNestedSelfTime(t *testing.T) {
 	}
 }
 
-// TestProfileRoundTrip encodes a collector as pprof and parses it back with
-// the repo's own decoder: sample stacks must follow the static phase nesting
-// and the wall values must survive exactly.
+// rawSample is one sample of a profile: its values and its stack as
+// function names, leaf first.
+type rawSample struct {
+	values []int64
+	stack  []string
+}
+
+// samplesOf returns p's samples with their stacks resolved to names.
+func samplesOf(p *pprofenc.Profile) []rawSample {
+	fnName := map[uint64]string{}
+	for _, f := range p.Functions {
+		fnName[f.ID] = f.Name
+	}
+	locName := map[uint64]string{}
+	for _, l := range p.Locations {
+		locName[l.ID] = fnName[l.Lines[0].FunctionID]
+	}
+	var out []rawSample
+	for _, s := range p.Samples {
+		r := rawSample{values: s.Values}
+		for _, id := range s.LocationIDs {
+			r.stack = append(r.stack, locName[id])
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// Lines of a `go tool pprof -raw` listing, whitespace-normalised: a sample
+// is its values, a colon and its location IDs; a location is its ID, address
+// and mapping, then its function name ahead of "file:line[:column] s=start".
+var (
+	rawSampleLine   = regexp.MustCompile(`^(-?\d+(?: -?\d+)*):((?: \d+)*)$`)
+	rawLocationLine = regexp.MustCompile(`^(\d+): 0x[0-9a-f]+ M=\d+ (.+) \S+:\d+(?::\d+)? s=\d+`)
+)
+
+// pprofRaw writes data to a file and runs `go tool pprof -raw` on it with the
+// toolchain that built this test; a missing toolchain fails the test. It
+// returns the listing's whitespace-normalised lines and its samples.
+func pprofRaw(t *testing.T, data []byte) ([]string, []rawSample) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "p.pb.gz")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	cmd := exec.Command(goBin, "tool", "pprof", "-raw", path)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v\n%s", err, stderr.String())
+	}
+	var lines []string
+	var samples []rawSample
+	var ids [][]string
+	locName := map[string]string{}
+	for _, l := range strings.Split(string(out), "\n") {
+		l = strings.Join(strings.Fields(l), " ")
+		lines = append(lines, l)
+		if m := rawSampleLine.FindStringSubmatch(l); m != nil {
+			var s rawSample
+			for _, v := range strings.Fields(m[1]) {
+				n, _ := strconv.ParseInt(v, 10, 64)
+				s.values = append(s.values, n)
+			}
+			samples = append(samples, s)
+			ids = append(ids, strings.Fields(m[2]))
+		} else if m := rawLocationLine.FindStringSubmatch(l); m != nil {
+			locName[m[1]] = m[2]
+		}
+	}
+	for i := range samples {
+		for _, id := range ids[i] {
+			samples[i].stack = append(samples[i].stack, locName[id])
+		}
+	}
+	return lines, samples
+}
+
+// TestProfileRoundTrip checks a collector's profile as built and as
+// `go tool pprof -raw` reads its encoded bytes: sample stacks must follow the
+// static phase nesting and the wall values must survive exactly.
 func TestProfileRoundTrip(t *testing.T) {
 	c := NewCollector(2)
 	c.dwall[PhaseDispatch] = 111
@@ -87,43 +177,50 @@ func TestProfileRoundTrip(t *testing.T) {
 	c.SM(1).count[PhaseSMReuse] = 1
 	c.runNS = 200_000
 
-	var buf bytes.Buffer
-	if err := c.WriteProfile(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err := pprofenc.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := c.Profile()
 	if p.DefaultSampleType != "wall" || len(p.SampleType) != 2 ||
 		p.SampleType[0] != (pprofenc.ValueType{Type: "wall", Unit: "nanoseconds"}) ||
 		p.SampleType[1] != (pprofenc.ValueType{Type: "laps", Unit: "count"}) {
 		t.Fatalf("sample types wrong: %+v default %q", p.SampleType, p.DefaultSampleType)
 	}
-	fnName := map[uint64]string{}
-	for _, f := range p.Functions {
-		fnName[f.ID] = f.Name
+	if p.DurationNanos != 200_000 {
+		t.Fatalf("duration = %d", p.DurationNanos)
 	}
-	locName := map[uint64]string{}
-	for _, l := range p.Locations {
-		locName[l.ID] = fnName[l.Lines[0].FunctionID]
+	checkPhaseSamples(t, "profile", samplesOf(p))
+
+	var buf bytes.Buffer
+	if err := c.WriteProfile(&buf); err != nil {
+		t.Fatal(err)
 	}
-	stacks := map[string]int64{} // leaf name -> wall value
-	var stackOf = map[string][]string{}
-	for _, s := range p.Samples {
-		var names []string
-		for _, id := range s.LocationIDs {
-			names = append(names, locName[id])
+	lines, samples := pprofRaw(t, buf.Bytes())
+	// pprof prints the duration to four characters.
+	for _, want := range []string{"wall/nanoseconds[dflt] laps/count", fmt.Sprintf("Duration: %.4v", 200*time.Microsecond)} {
+		if !slices.Contains(lines, want) {
+			t.Fatalf("pprof -raw lists no %q line:\n%s", want, strings.Join(lines, "\n"))
 		}
-		stacks[names[0]] += s.Values[0]
-		stackOf[names[0]] = names
+	}
+	checkPhaseSamples(t, "pprof -raw", samples)
+}
+
+// checkPhaseSamples checks the phase stacks and self times of
+// TestProfileRoundTrip's collector in one view of its profile.
+func checkPhaseSamples(t *testing.T, view string, samples []rawSample) {
+	t.Helper()
+	stacks := map[string]int64{} // leaf name -> wall value
+	stackOf := map[string][]string{}
+	for _, s := range samples {
+		if len(s.stack) == 0 || len(s.values) != 2 {
+			t.Fatalf("%s: sample %+v needs a stack and two values", view, s)
+		}
+		stacks[s.stack[0]] += s.values[0]
+		stackOf[s.stack[0]] = s.stack
 	}
 	// step's self time is clamped: 100000 - (40000 + 5000) = 55000.
 	if stacks["step"] != 55_000 {
-		t.Fatalf("step self = %d, want 55000 (clamped by SM breakdown)", stacks["step"])
+		t.Fatalf("%s: step self = %d, want 55000 (clamped by SM breakdown)", view, stacks["step"])
 	}
 	if stacks["sm/execute"] != 40_000 || stacks["sm/reuse"] != 5_000 || stacks["dispatch"] != 111 {
-		t.Fatalf("phase values wrong: %+v", stacks)
+		t.Fatalf("%s: phase values wrong: %+v", view, stacks)
 	}
 	want := map[string][]string{
 		"sm/reuse":   {"sm/reuse", "sm/execute", "step", "run"},
@@ -131,18 +228,9 @@ func TestProfileRoundTrip(t *testing.T) {
 		"dispatch":   {"dispatch", "run"},
 	}
 	for leaf, w := range want {
-		got := stackOf[leaf]
-		if len(got) != len(w) {
-			t.Fatalf("stack for %s = %v, want %v", leaf, got, w)
+		if got := stackOf[leaf]; !slices.Equal(got, w) {
+			t.Fatalf("%s: stack for %s = %v, want %v", view, leaf, got, w)
 		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("stack for %s = %v, want %v", leaf, got, w)
-			}
-		}
-	}
-	if p.DurationNanos != 200_000 {
-		t.Fatalf("duration = %d", p.DurationNanos)
 	}
 }
 

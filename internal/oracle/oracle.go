@@ -44,8 +44,9 @@ type Mem interface {
 // watchdog's job).
 const maxBlockSteps = 8_000_000
 
-// defaultLimit is how many divergences a checker retains when Limit is unset.
-const defaultLimit = 16
+// retainLimit is how many divergences a checker retains; further ones are
+// counted but not stored.
+const retainLimit = 16
 
 // Divergence is one structured mismatch between the cycle model and the
 // golden model.
@@ -129,9 +130,6 @@ type Checker struct {
 	// Base is the functional memory the emulator reads through (the GPU's
 	// mem.System). Required.
 	Base Mem
-	// Limit bounds how many divergences are retained (0 = defaultLimit).
-	// Further divergences are counted but not stored.
-	Limit int
 	// Attr, when set, annotates the divergence report with the per-PC
 	// attribution counters of the faulting PC.
 	Attr *attr.Collector
@@ -154,7 +152,7 @@ func New(base Mem) *Checker {
 	}
 }
 
-// Divergences returns the retained divergences (at most Limit).
+// Divergences returns the retained divergences (at most retainLimit).
 func (c *Checker) Divergences() []Divergence { return c.divs }
 
 // Total returns the number of divergences observed, including those beyond
@@ -192,11 +190,7 @@ func (c *Checker) Report() string {
 
 func (c *Checker) diverge(d Divergence) {
 	c.total++
-	limit := c.Limit
-	if limit <= 0 {
-		limit = defaultLimit
-	}
-	if len(c.divs) < limit {
+	if len(c.divs) < retainLimit {
 		c.divs = append(c.divs, d)
 	}
 }

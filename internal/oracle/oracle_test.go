@@ -144,7 +144,7 @@ func TestExtraRetireDetected(t *testing.T) {
 }
 
 // TestDivergenceLimit: the checker counts every divergence but retains at most
-// Limit of them.
+// 16 of them.
 func TestDivergenceLimit(t *testing.T) {
 	cfg := config.Default(config.Base)
 	g, err := gpu.New(cfg)
@@ -152,12 +152,11 @@ func TestDivergenceLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk := oracle.New(g.Mem())
-	chk.Limit = 3
 	in := isa.Instr{Op: isa.OpIAdd}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ {
 		chk.OnRetire(&sm.RetireEvent{PC: i, Seq: 1, In: &in})
 	}
-	if chk.Total() != 10 || len(chk.Divergences()) != 3 {
-		t.Fatalf("total = %d retained = %d, want 10/3", chk.Total(), len(chk.Divergences()))
+	if chk.Total() != 20 || len(chk.Divergences()) != 16 {
+		t.Fatalf("total = %d retained = %d, want 20/16", chk.Total(), len(chk.Divergences()))
 	}
 }

@@ -2,7 +2,13 @@ package pprofenc
 
 import (
 	"bytes"
-	"reflect"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -43,89 +49,78 @@ func sampleProfile() *Profile {
 	}
 }
 
-func TestRoundTripRaw(t *testing.T) {
-	want := sampleProfile()
-	got, err := Parse(want.Marshal())
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
+// sampleRaw is what `go tool pprof -raw` lists of sampleProfile: every
+// field it sets. pprof prints the duration to four characters (123.456µs
+// as "123.").
+var sampleRaw = []string{
+	"Comment: wirsim attribution profile",
+	"PeriodType: cycles cycles",
+	"Period: 1",
+	"Duration: 123.",
+	"Samples:",
+	"cycles/cycles[dflt] energy/picojoules",
+	"120 4500: 1 2",
+	"kernel:[km_scale]",
+	"sm:[3 id]",
+	"7 0: 2",
+	"Locations",
+	"1: 0x1001 M=1 km_scale:3 mul r4, r2, r3 km_scale.kasm:4 s=4(km_scale:3)",
+	"2: 0x1002 M=1 km_scale km_scale.kasm:1 s=1()",
+	"Mappings",
+	"1: 0x1000/0x2000/0x0 [wirsim] wir-attr",
+}
+
+// column matches the column newer pprof versions print after a location's
+// line number; it is always 0 here, and older versions leave it out.
+var column = regexp.MustCompile(`:(\d+):\d+ s=`)
+
+// pprofRaw writes data to a file and returns what `go tool pprof -raw`
+// lists of it, one whitespace-normalised line per entry, without columns.
+// The go command is the toolchain that built this test; a missing one fails
+// the test.
+func pprofRaw(t *testing.T, data []byte) []string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "p.pb.gz")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	cmd := exec.Command(goBin, "tool", "pprof", "-raw", path)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v\n%s", err, stderr.String())
+	}
+	var lines []string
+	for _, l := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			lines = append(lines, column.ReplaceAllString(strings.Join(f, " "), ":$1 s="))
+		}
+	}
+	return lines
+}
+
+func checkListing(t *testing.T, got []string) {
+	t.Helper()
+	if !slices.Equal(got, sampleRaw) {
+		t.Fatalf("pprof -raw listing:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(sampleRaw, "\n"))
 	}
 }
 
+// TestRoundTripRaw: pprof reads every field of the uncompressed encoding.
+func TestRoundTripRaw(t *testing.T) {
+	checkListing(t, pprofRaw(t, sampleProfile().Marshal()))
+}
+
+// TestRoundTripGzip: the gzip'd form is gzip and reads the same.
 func TestRoundTripGzip(t *testing.T) {
-	want := sampleProfile()
 	var bb bytes.Buffer
-	if err := want.WriteGzip(&bb); err != nil {
+	if err := sampleProfile().WriteGzip(&bb); err != nil {
 		t.Fatalf("WriteGzip: %v", err)
 	}
 	if b := bb.Bytes(); len(b) < 2 || b[0] != 0x1F || b[1] != 0x8B {
 		t.Fatalf("output is not gzip (starts %x)", bb.Bytes()[:2])
 	}
-	got, err := Parse(bb.Bytes())
-	if err != nil {
-		t.Fatalf("Parse gzip: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("gzip round trip mismatch:\nwant %+v\ngot  %+v", want, got)
-	}
-}
-
-func TestEmptyProfile(t *testing.T) {
-	p := &Profile{}
-	got, err := Parse(p.Marshal())
-	if err != nil {
-		t.Fatalf("Parse empty: %v", err)
-	}
-	if len(got.Samples) != 0 || len(got.SampleType) != 0 {
-		t.Fatalf("empty profile grew content: %+v", got)
-	}
-}
-
-func TestUnpackedRepeatedInts(t *testing.T) {
-	// Hand-encode a sample whose location_id and value fields use the
-	// unpacked (wire type 0) encoding some writers emit.
-	var s buf
-	s.tag(1, 0)
-	s.varint(9)
-	s.tag(1, 0)
-	s.varint(8)
-	s.tag(2, 0)
-	s.varint(41)
-
-	var e buf
-	e.bytesField(2, s.b)
-	e.bytesField(6, nil) // string_table[0] = ""
-
-	p, err := Parse(e.b)
-	if err != nil {
-		t.Fatalf("Parse unpacked: %v", err)
-	}
-	if len(p.Samples) != 1 {
-		t.Fatalf("got %d samples, want 1", len(p.Samples))
-	}
-	if want := []uint64{9, 8}; !reflect.DeepEqual(p.Samples[0].LocationIDs, want) {
-		t.Fatalf("location ids %v, want %v", p.Samples[0].LocationIDs, want)
-	}
-	if want := []int64{41}; !reflect.DeepEqual(p.Samples[0].Values, want) {
-		t.Fatalf("values %v, want %v", p.Samples[0].Values, want)
-	}
-}
-
-func TestBadStringIndex(t *testing.T) {
-	var e buf
-	e.intField(14, 5) // default_sample_type points past the table
-	e.bytesField(6, nil)
-	if _, err := Parse(e.b); err == nil {
-		t.Fatal("want error for out-of-range string index")
-	}
-}
-
-func TestTruncatedInput(t *testing.T) {
-	p := sampleProfile()
-	raw := p.Marshal()
-	if _, err := Parse(raw[:len(raw)/2]); err == nil {
-		t.Fatal("want error for truncated input")
-	}
+	checkListing(t, pprofRaw(t, bb.Bytes()))
 }
